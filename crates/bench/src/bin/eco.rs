@@ -24,12 +24,10 @@
 //!   --search-n N         tuning size for `tune`     (default 96)
 //!   --strategy S         guided|grid|random         (default guided)
 //!   --threads N          evaluation threads         (default 0 = auto)
-//!   --engine E           plan|reference             (default plan)
 //!   --store DIR          persistent result store shared across processes;
 //!                        a second run warm-starts from the first's results
 //!   --certify            statically certify every candidate before it is
 //!                        measured (tune; always on in debug builds)
-//!   --trace FILE         write a JSONL line per evaluated point to FILE
 //!   --events FILE        write the structured observability event stream to FILE
 //!   --manifest FILE      write the deterministic run manifest to FILE (tune)
 //!   --code               also print generated code  (tune)
@@ -37,7 +35,7 @@
 //!
 //! serve options (see DESIGN.md "Service layer" for the protocol):
 //!   --socket PATH        Unix socket to listen on   (default eco.sock)
-//!   --threads/--engine/--store  engine configuration for every request
+//!   --threads/--store    engine configuration for every request
 //!   --events FILE        request-level serve event stream
 //!   --log-level L        stderr verbosity: quiet|info|debug (default info)
 //!   --slow-ms N          slow-request log threshold in ms (default 1000)
@@ -75,13 +73,12 @@
 //!
 //! `tune` and `measure` run on the parallel memoized evaluation engine;
 //! `tune` reports the engine's work alongside the search statistics.
-//! Each `--trace` record carries the point's label, parameters,
-//! memo-hit flag, wall-clock time and simulated counters; `--events`
-//! captures the span/event stream (search stages, per-point results,
-//! plan compilations) and `--manifest` the byte-deterministic run
-//! manifest (see DESIGN.md for both schemas). All three files are
-//! created up front, so an unwritable path fails before the search
-//! starts.
+//! `--events` captures the span/event stream (search stages, plan
+//! compilations, and one `point` event per evaluated point carrying its
+//! label, parameters, memo-hit flag, wall-clock time and simulated
+//! counters) and `--manifest` the byte-deterministic run manifest (see
+//! DESIGN.md for both schemas). Both files are created up front, so an
+//! unwritable path fails before the search starts.
 
 use eco_analysis::NestInfo;
 use eco_bench::cli::{flag_value, parse_machine, EngineFlags};
@@ -101,7 +98,6 @@ struct Opts {
     strategy: SearchStrategy,
     engine: EngineFlags,
     certify: bool,
-    trace: Option<String>,
     events: Option<String>,
     manifest: Option<String>,
     code: bool,
@@ -110,9 +106,6 @@ struct Opts {
 impl Opts {
     fn engine_config(&self) -> EngineConfig {
         let mut cfg = self.engine.apply(EngineConfig::new());
-        if let Some(path) = &self.trace {
-            cfg = cfg.trace(path.clone());
-        }
         if let Some(path) = &self.events {
             cfg = cfg.events(path.clone());
         }
@@ -139,7 +132,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut strategy = SearchStrategy::Guided;
     let mut engine = EngineFlags::new();
     let mut certify = false;
-    let mut trace = None;
     let mut events = None;
     let mut manifest = None;
     let mut code = false;
@@ -174,7 +166,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 }
             }
             "--certify" => certify = true,
-            "--trace" => trace = Some(flag_value("--trace", &mut it)?),
             "--events" => events = Some(flag_value("--events", &mut it)?),
             "--manifest" => manifest = Some(flag_value("--manifest", &mut it)?),
             "--code" => code = true,
@@ -193,7 +184,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         strategy,
         engine,
         certify,
-        trace,
         events,
         manifest,
         code,
@@ -279,7 +269,7 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
                 .ok_or("usage: eco tune <kernel> [opts]")?;
             let k = find_kernel(name)?;
             let opts = parse_opts(optargs)?;
-            // Like --trace/--events, an unwritable manifest path must
+            // Like --events, an unwritable manifest path must
             // fail before the search runs, not after.
             if let Some(path) = &opts.manifest {
                 std::fs::File::create(path)

@@ -48,11 +48,9 @@
 //!
 //! options (after the command):
 //!   --threads N      evaluation threads (0 = auto, the default)
-//!   --engine E       plan (compiled, default) or reference (tree-walker)
 //!   --store DIR      persistent result store: a second run against the
 //!                    same DIR warm-starts from the first one's results
 //!                    (same bytes out, far fewer simulations)
-//!   --trace DIR      write a JSONL evaluation trace per command to DIR
 //!   --events DIR     write a structured event stream per command to DIR
 //!                    (sweep workers always write theirs under the
 //!                    sweep directory's events/)
@@ -179,9 +177,6 @@ fn parse_opts(args: &[String]) -> Result<ReproOpts, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--trace" => {
-                run.trace_dir = Some(it.next().ok_or("--trace needs a directory")?.clone());
-            }
             "--events" => {
                 run.events_dir = Some(it.next().ok_or("--events needs a directory")?.clone());
             }
@@ -390,10 +385,6 @@ fn shard_cmd(opts: &ReproOpts) {
     let fp = shard.fingerprint();
     let label = format!("{fp:016x}");
     let mut cfg = opts.run.flags.apply(EngineConfig::new());
-    if let Some(dir) = &opts.run.trace_dir {
-        let _ = fs::create_dir_all(dir);
-        cfg = cfg.trace(format!("{dir}/{label}.jsonl"));
-    }
     if let Some(dir) = &opts.run.events_dir {
         let _ = fs::create_dir_all(dir);
         cfg = cfg.events(format!("{dir}/{label}.events.jsonl"));
@@ -480,7 +471,6 @@ fn check(opts: &ReproOpts) {
     });
     let run = RunOpts {
         flags: opts.run.flags.clone(),
-        trace_dir: opts.run.trace_dir.clone(),
         events_dir: Some(events_dir.clone()),
     };
     println!("== check: regenerated outputs vs committed results/ ==");
@@ -907,15 +897,9 @@ fn attribution() {
     println!();
 }
 
-/// Offline-safe throughput check for CI: simulates a fixed mix of
-/// unique MM and Jacobi points (no memo hits) and prints
-/// evaluated-points/sec. No threshold — the number is informational, so
-/// slow runners never fail the build; compare `--engine plan` against
-/// `--engine reference` to see the lowering speedup in the log.
 /// What one smoke run measured, for the JSON outputs.
 struct SmokeResult {
     machine: String,
-    backend: String,
     threads: usize,
     points: u64,
     secs: f64,
@@ -927,13 +911,12 @@ impl SmokeResult {
     }
 
     fn to_json(&self) -> Json {
-        // `machine` and `backend` are stamped exactly like the full
-        // `repro bench` trajectory, so `eco report --compare` pairs a
-        // smoke-only file against a committed full one by value, not
-        // by notes-only fallback.
+        // `machine` is stamped exactly like the full `repro bench`
+        // trajectory, so `eco report --compare` pairs a smoke-only file
+        // against a committed full one by value, not by notes-only
+        // fallback.
         Json::obj()
             .field("machine", Json::str(&self.machine))
-            .field("backend", Json::str(&self.backend))
             .field("threads", Json::UInt(self.threads as u64))
             .field("points", Json::UInt(self.points))
             .field("secs", Json::Float(self.secs))
@@ -941,6 +924,10 @@ impl SmokeResult {
     }
 }
 
+/// Offline-safe throughput check for CI: simulates a fixed mix of
+/// unique MM and Jacobi points (no memo hits) and prints
+/// evaluated-points/sec. No threshold — the number is informational, so
+/// slow runners never fail the build.
 fn smoke(opts: &ReproOpts) {
     let result = run_smoke(&opts.run);
     if let Some(path) = &opts.json {
@@ -993,8 +980,7 @@ fn run_smoke(run: &RunOpts) -> SmokeResult {
     let ok = results.iter().filter(|r| r.is_ok()).count();
     let evaluated = engine.stats().evaluated;
     println!(
-        "   engine={:?} threads={}: {evaluated} points in {secs:.2}s -> {:.1} points/sec ({ok}/{} ok)",
-        engine.backend(),
+        "   threads={}: {evaluated} points in {secs:.2}s -> {:.1} points/sec ({ok}/{} ok)",
         engine.threads(),
         evaluated as f64 / secs,
         results.len()
@@ -1002,7 +988,6 @@ fn run_smoke(run: &RunOpts) -> SmokeResult {
     assert_eq!(ok, results.len(), "smoke points must all simulate cleanly");
     SmokeResult {
         machine: machine.name.clone(),
-        backend: format!("{:?}", engine.backend()),
         threads: engine.threads(),
         points: evaluated,
         secs,

@@ -1,11 +1,11 @@
 //! Flag parsing shared by the `eco` and `repro` binaries (and their
 //! `serve`/`client` subcommands): the machine selection
 //! (`--machine`/`--scale`) and the engine flags
-//! (`--threads`/`--engine`/`--store`) used to be parsed ad hoc in each
+//! (`--threads`/`--store`) used to be parsed ad hoc in each
 //! binary; this module is the one place their names, defaults and error
 //! messages live.
 
-use eco_exec::{EngineConfig, ExecBackend};
+use eco_exec::EngineConfig;
 use eco_machine::MachineDesc;
 
 /// Pulls the value of `--flag` off the argument iterator.
@@ -27,8 +27,12 @@ pub fn flag_value<'a>(
 ///
 /// # Errors
 ///
-/// Returns a message listing the known machine names.
+/// Returns a message listing the known machine names, or rejects a
+/// zero scale.
 pub fn parse_machine(name: &str, scale: usize) -> Result<MachineDesc, String> {
+    if scale == 0 {
+        return Err("--scale must be positive".to_string());
+    }
     let base = match name {
         "sgi" => MachineDesc::sgi_r10000(),
         "sun" => MachineDesc::ultrasparc_iie(),
@@ -37,28 +41,15 @@ pub fn parse_machine(name: &str, scale: usize) -> Result<MachineDesc, String> {
     Ok(if scale > 1 { base.scaled(scale) } else { base })
 }
 
-/// The engine flags every command accepts: thread count, backend and
-/// the persistent result store. Defaults: auto threads, the compiled
-/// backend, no store.
-#[derive(Debug, Clone)]
+/// The engine flags every command accepts: thread count and the
+/// persistent result store. Defaults: auto threads, no store.
+#[derive(Debug, Clone, Default)]
 pub struct EngineFlags {
     /// `--threads N` (0 = auto).
     pub threads: usize,
-    /// `--engine plan|reference`.
-    pub backend: ExecBackend,
     /// `--store DIR`: root of the on-disk result store shared across
     /// processes (see `eco-store`).
     pub store: Option<String>,
-}
-
-impl Default for EngineFlags {
-    fn default() -> Self {
-        EngineFlags {
-            threads: 0,
-            backend: ExecBackend::Compiled,
-            store: None,
-        }
-    }
 }
 
 impl EngineFlags {
@@ -85,7 +76,6 @@ impl EngineFlags {
                     .parse()
                     .map_err(|e| format!("bad --threads: {e}"))?;
             }
-            "--engine" => self.backend = ExecBackend::parse(&flag_value("--engine", it)?)?,
             "--store" => self.store = Some(flag_value("--store", it)?),
             _ => return Ok(false),
         }
@@ -95,7 +85,7 @@ impl EngineFlags {
     /// Applies the flags to an engine configuration.
     #[must_use]
     pub fn apply(&self, mut cfg: EngineConfig) -> EngineConfig {
-        cfg = cfg.threads(self.threads).backend(self.backend);
+        cfg = cfg.threads(self.threads);
         if let Some(dir) = &self.store {
             cfg = cfg.store(dir.clone());
         }
@@ -121,28 +111,24 @@ mod tests {
         assert!(parse_machine("vax", 1)
             .expect_err("unknown")
             .contains("sgi|sun"));
+        assert_eq!(
+            parse_machine("sgi", 0).expect_err("zero scale"),
+            "--scale must be positive"
+        );
     }
 
     #[test]
     fn engine_flags_accept_their_flags_and_reject_others() {
-        let args = strings(&[
-            "--threads",
-            "3",
-            "--engine",
-            "reference",
-            "--store",
-            "/tmp/s",
-        ]);
+        let args = strings(&["--threads", "3", "--store", "/tmp/s"]);
         let mut it = args.iter();
         let mut flags = EngineFlags::new();
         while let Some(a) = it.next() {
             assert!(flags.accept(a, &mut it).expect("parses"));
         }
         assert_eq!(flags.threads, 3);
-        assert_eq!(flags.backend, ExecBackend::Reference);
         assert_eq!(flags.store.as_deref(), Some("/tmp/s"));
         let cfg = flags.apply(EngineConfig::new());
-        assert_eq!(cfg.backend, ExecBackend::Reference);
+        assert_eq!(cfg.threads, 3);
         assert!(cfg.store_path.is_some());
 
         let other = strings(&["--n"]);

@@ -150,14 +150,12 @@ impl FigureDef {
 }
 
 /// Engine settings shared by every figure path: the CLI engine flags
-/// (threads, backend, result store) and the optional JSONL telemetry
-/// directories (one file per label).
+/// (threads, result store) and the optional event-stream directory
+/// (one file per label).
 #[derive(Debug, Clone, Default)]
 pub struct RunOpts {
-    /// Threads, backend and result store (`--threads`/`--engine`/`--store`).
+    /// Threads and result store (`--threads`/`--store`).
     pub flags: EngineFlags,
-    /// `--trace DIR`: one evaluation trace file per label.
-    pub trace_dir: Option<String>,
     /// `--events DIR`: one structured event stream per label.
     pub events_dir: Option<String>,
 }
@@ -168,13 +166,9 @@ impl RunOpts {
     /// # Panics
     ///
     /// Panics when the engine cannot be constructed (bad store or
-    /// telemetry path).
+    /// events path).
     pub fn engine(&self, machine: &MachineDesc, label: &str) -> Engine {
         let mut cfg = self.flags.apply(EngineConfig::new());
-        if let Some(dir) = &self.trace_dir {
-            let _ = fs::create_dir_all(dir);
-            cfg = cfg.trace(format!("{dir}/{label}.jsonl"));
-        }
         if let Some(dir) = &self.events_dir {
             let _ = fs::create_dir_all(dir);
             cfg = cfg.events(format!("{dir}/{label}.events.jsonl"));
@@ -184,11 +178,10 @@ impl RunOpts {
     }
 
     /// The deterministic subset of the engine configuration recorded in
-    /// run manifests (backend and memoization; never threads, paths or
-    /// the store — a warm run must produce the same bytes as a cold
-    /// one).
+    /// run manifests (memoization; never threads, paths or the store —
+    /// a warm run must produce the same bytes as a cold one).
     pub fn manifest_config(&self) -> EngineConfig {
-        EngineConfig::new().backend(self.flags.backend)
+        EngineConfig::new()
     }
 }
 

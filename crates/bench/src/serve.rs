@@ -78,7 +78,7 @@ use eco_metrics::{Counter, Gauge, Histogram, Registry};
 use eco_sched::sync::atomic::{AtomicBool, Ordering};
 use eco_sched::sync::{labeled_condvar, labeled_mutex, Arc, Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -90,6 +90,12 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// Completed tune/shard requests retained for `trace` / `watch`
 /// replay, newest last.
 const COMPLETED_RING: usize = 8;
+
+/// Longest request line the daemon reads, in bytes (newline excluded).
+/// The largest legitimate request, a sweep shard, is under 1 KiB; the
+/// cap keeps one client from growing daemon memory without limit. An
+/// oversize line gets an error reply and its connection is closed.
+const MAX_REQUEST_LINE: usize = 1 << 20;
 
 // ---------------------------------------------------------------------
 // Logging
@@ -197,9 +203,9 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
 pub struct ServeConfig {
     /// Unix-domain socket path to listen on.
     pub socket: PathBuf,
-    /// Engine template: threads, backend, memoization and the shared
-    /// result store. Trace/events paths are stripped (a single file
-    /// cannot be shared by lazily-created engines); use `events` below.
+    /// Engine template: threads, memoization and the shared result
+    /// store. The events path is stripped (a single file cannot be
+    /// shared by lazily-created engines); use `events` below.
     pub engine: EngineConfig,
     /// Request-level event stream (`serve_request`/`serve_done`).
     pub events: Option<String>,
@@ -583,7 +589,6 @@ impl Server {
     /// stream file cannot be created.
     pub fn bind(config: ServeConfig) -> Result<Server, String> {
         let mut template = config.engine.clone();
-        template.trace_path = None;
         template.events_path = None;
         let events = match &config.events {
             Some(path) => {
@@ -720,13 +725,38 @@ fn serve_connection(inner: &ServerInner, stream: UnixStream, socket: &Path) {
         text.push('\n');
         writer.write_all(text.as_bytes()).is_ok() && writer.flush().is_ok()
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
+            {
+                let mut stats = inner.stats.lock().expect("stats lock");
+                stats.requests += 1;
+                stats.errors += 1;
+            }
+            inner.metrics.errors.inc();
+            let msg = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+            inner.log.info(&msg);
+            let reply = Json::obj()
+                .field("ok", Json::Bool(false))
+                .field("error", Json::str(&msg));
+            write_line(reply.render_compact());
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
+        let line = line.trim_end_matches(['\n', '\r']);
         if line.trim().is_empty() {
             continue;
         }
-        let ok = match handle_line(inner, &line, socket) {
+        let ok = match handle_line(inner, line, socket) {
             Reply::One(doc) => write_line(doc.render_compact()),
             Reply::Replay { header, events } => {
                 let fp = fp_of(&header);
@@ -1040,7 +1070,7 @@ fn run_tune(inner: &ServerInner, request: &TuneRequest, fp: u64) -> Result<Json,
     drop(stream);
     let response = result?;
     // The manifest records the configuration the shared engine actually
-    // ran with (backend, memoize) — not the client's ignored template.
+    // ran with (memoize) — not the client's ignored template.
     let manifest = run_manifest(
         &request.kernel.name,
         &request.machine,

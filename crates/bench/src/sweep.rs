@@ -176,7 +176,7 @@ fn execute_on(shard: &Shard, engine: &Engine) -> Result<Json, String> {
                 let manifest = figures::figure_manifest(
                     &shard.kernel,
                     engine,
-                    &EngineConfig::new().backend(engine.backend()),
+                    &EngineConfig::new(),
                     shard.search_n,
                     tuned,
                 );
@@ -676,12 +676,7 @@ fn spawn_shard(
         .arg("--events")
         .arg(config.sweep_dir.join("events"))
         .arg("--threads")
-        .arg(threads.to_string())
-        .arg("--engine")
-        .arg(config.opts.flags.backend.name());
-    if let Some(trace) = &config.opts.trace_dir {
-        cmd.arg("--trace").arg(trace);
-    }
+        .arg(threads.to_string());
     let child = cmd
         .stdin(Stdio::null())
         .stdout(Stdio::from(logfile))

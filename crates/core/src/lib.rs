@@ -72,7 +72,7 @@ pub use variant::{
 /// Evaluation-engine surface re-exported for downstream crates: the
 /// search, the baselines and the benches all consume the same
 /// [`Evaluator`] API.
-pub use eco_exec::{Engine, EngineConfig, EngineStats, EvalJob, Evaluator, ExecBackend};
+pub use eco_exec::{Engine, EngineConfig, EngineStats, EvalJob, Evaluator};
 
 /// The structured observability layer (event streams, spans, the
 /// deterministic JSON used by run manifests), re-exported from

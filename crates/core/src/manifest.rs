@@ -13,7 +13,7 @@
 use crate::api::TuneResponse;
 use crate::search::SearchOptions;
 use eco_exec::events::{Fnv64, Json};
-use eco_exec::{program_fingerprint, EngineConfig, ExecBackend};
+use eco_exec::{program_fingerprint, EngineConfig};
 use eco_machine::MachineDesc;
 use std::hash::{Hash, Hasher as _};
 
@@ -37,8 +37,9 @@ pub fn machine_fingerprint(machine: &MachineDesc) -> u64 {
 ///
 /// `kernel` is the kernel name as the caller knows it (e.g. `"mm"`);
 /// `engine` is the configuration the run's [`Engine`](crate::Engine)
-/// was built from — only its deterministic fields (backend, memoize)
-/// are recorded, never the thread count. The `options` object is
+/// was built from — only its deterministic field (memoize) is
+/// recorded, never the thread count. The engine block also names the
+/// executor, which is always the compiled plan. The `options` object is
 /// [`SearchOptions::to_json`] verbatim, so the serialized options in a
 /// manifest and in a [`TuneRequest`](crate::TuneRequest) are the same
 /// bytes.
@@ -50,10 +51,6 @@ pub fn run_manifest(
     report: &TuneResponse,
 ) -> Json {
     let tuned = &report.tuned;
-    let backend = match engine.backend {
-        ExecBackend::Compiled => "compiled",
-        ExecBackend::Reference => "reference",
-    };
     let options = opts.to_json();
     // ParamValues is a BTreeMap, so parameter order is deterministic.
     let mut params = Json::obj();
@@ -101,7 +98,7 @@ pub fn run_manifest(
         .field(
             "engine",
             Json::obj()
-                .field("backend", Json::str(backend))
+                .field("backend", Json::str("compiled"))
                 .field("memoize", Json::Bool(engine.memoize)),
         )
         .field(

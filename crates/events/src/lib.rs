@@ -68,7 +68,7 @@ pub mod read;
 /// agree on spelling. New subsystems should add their names here rather
 /// than inlining string literals at emission sites.
 pub mod names {
-    /// Engine construction: machine model, backend, memoization.
+    /// Engine construction: machine model, memoization.
     pub const ENGINE_INIT: &str = "engine_init";
     /// One evaluated (or cache-served) search point.
     pub const POINT: &str = "point";
@@ -360,18 +360,19 @@ impl EventStream {
     }
 
     fn emit_record(&self, head: &str, span: u64, tail: &str, attrs: &Attrs) {
+        let mut rest = String::with_capacity(96);
+        rest.push_str(tail);
+        attrs.render_into(&mut rest);
+        // `seq` is taken under the writer lock: taken before it, two
+        // concurrent emitters could write their lines out of `seq`
+        // order, which `check_stream` rejects.
+        let mut w = self.writer.lock().expect("event writer lock");
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let t_us = self.t0.elapsed().as_micros() as u64;
-        let mut line = String::with_capacity(96);
-        let _ = write!(
-            line,
-            "{{\"ev\":\"{head}\",\"seq\":{seq},\"t_us\":{t_us},\"span\":{span}"
+        let _ = writeln!(
+            w,
+            "{{\"ev\":\"{head}\",\"seq\":{seq},\"t_us\":{t_us},\"span\":{span}{rest}}}"
         );
-        line.push_str(tail);
-        attrs.render_into(&mut line);
-        line.push('}');
-        let mut w = self.writer.lock().expect("event writer lock");
-        let _ = writeln!(w, "{line}");
     }
 
     /// Opens a span and emits its `span_open` record. `parent` is the

@@ -29,18 +29,15 @@
 //!   [`EngineStats::dedup_waits`];
 //! * **parallelism** — unique jobs run on a `std::thread::scope` pool;
 //!   the thread count never influences results, only latency;
-//! * **plan memoization** — jobs normally execute through the compiled
+//! * **plan memoization** — jobs execute through the compiled
 //!   [`ExecutablePlan`] pipeline, and the engine caches one lowered plan
 //!   per program (keyed by the program component of [`EvalKey`]), so
 //!   re-evaluating a variant at new parameter points skips lowering
-//!   entirely; [`ExecBackend::Reference`] re-routes every job through
-//!   the tree-walking oracle for differential runs (`--engine=reference`
-//!   in the CLIs);
-//! * **telemetry** — an optional JSONL search trace records one line per
-//!   submitted job (label, program, params, counters, cache-hit flag,
-//!   wall time); an optional structured **event stream**
-//!   ([`eco_events::EventStream`], `--events` in the CLIs) additionally
-//!   records per-job `point` events (memo hit/miss, status, wall time),
+//!   entirely;
+//! * **telemetry** — an optional structured **event stream**
+//!   ([`eco_events::EventStream`], `--events` in the CLIs) records one
+//!   `point` event per submitted job (label, program, parameter
+//!   bindings, counters, memo hit/miss, status, wall time),
 //!   per-batch `batch` events (jobs, unique work, worker threads used),
 //!   `plan_compile` events (lowering statistics and compile time per
 //!   program), and running `engine_stats` counter snapshots. The search
@@ -92,19 +89,15 @@ use eco_sched::sync::atomic::{AtomicUsize, Ordering};
 use eco_sched::sync::{labeled_condvar, labeled_mutex, Arc, Condvar, Mutex};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::fs::File;
 use std::hash::{Hash, Hasher as _};
-use std::io::{BufWriter, Write as _};
 use std::path::PathBuf;
 use std::time::Instant;
 
 use crate::error::ExecError;
 use crate::layout::{LayoutOptions, Params};
 use crate::plan::ExecutablePlan;
-use crate::trace::{measure_attributed_reference, measure_reference};
 use eco_cachesim::Counters;
-use eco_events::{json_escape, names, Attrs, EventStream, Fnv64, Json, SpanId};
+use eco_events::{names, Attrs, EventStream, Fnv64, Json, SpanId};
 use eco_ir::Program;
 use eco_machine::MachineDesc;
 use eco_metrics::{Counter, Histogram, Registry};
@@ -120,8 +113,8 @@ pub struct EvalJob {
     pub params: Params,
     /// Array placement options.
     pub layout: LayoutOptions,
-    /// Free-form tag carried into the JSONL trace (e.g. variant name or
-    /// search stage); not part of the memo key.
+    /// Free-form tag carried into the `point` event (e.g. variant name
+    /// or search stage); not part of the memo key.
     pub label: String,
     /// Event-stream span this job's `point` event is attributed to
     /// (e.g. the search stage that proposed it); not part of the memo
@@ -155,7 +148,7 @@ impl EvalJob {
         self
     }
 
-    /// Sets the trace label (builder style).
+    /// Sets the label (builder style).
     #[must_use]
     pub fn with_label(mut self, label: impl Into<String>) -> Self {
         self.label = label.into();
@@ -225,64 +218,24 @@ pub struct EngineStats {
     /// evaluation instead of re-simulating (the serve-daemon dedupe
     /// path). Never recorded in run manifests.
     pub dedup_waits: u64,
-    /// Fast-forward windows applied across all compiled-backend
+    /// Fast-forward windows applied across all compiled-plan
     /// simulations (see [`eco_cachesim::SimStats`]). Telemetry about
     /// *how* simulations ran; never recorded in run manifests.
     pub ff_windows: u64,
     /// Accesses accounted arithmetically instead of walked, across all
-    /// compiled-backend simulations. Never recorded in run manifests.
+    /// compiled-plan simulations. Never recorded in run manifests.
     pub ff_accesses: u64,
 }
 
 impl EngineStats {
-    /// Fraction of requests served without running a simulation.
+    /// Fraction of requests served from the in-memory memo cache or
+    /// batch deduplication ([`cache_hits`](Self::cache_hits)); store
+    /// hits and in-flight dedupe waits are not counted.
     pub fn hit_rate(&self) -> f64 {
         if self.requested == 0 {
             return 0.0;
         }
         self.cache_hits as f64 / self.requested as f64
-    }
-}
-
-/// Which executor an [`Engine`] routes jobs through.
-///
-/// Both backends are held to bit-identical counters by the differential
-/// tests; `Reference` exists as the semantic oracle and for debugging
-/// (`--engine=reference` in the CLIs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ExecBackend {
-    /// The compiled [`ExecutablePlan`] pipeline, with one lowered plan
-    /// memoized per program. The default.
-    #[default]
-    Compiled,
-    /// The tree-walking reference tracer
-    /// ([`measure_reference`](crate::measure_reference)).
-    Reference,
-}
-
-impl ExecBackend {
-    /// Parses a CLI `--engine` value (`plan`/`compiled` or `reference`).
-    ///
-    /// # Errors
-    ///
-    /// Returns the unrecognized value.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "plan" | "compiled" => Ok(ExecBackend::Compiled),
-            "reference" | "ref" => Ok(ExecBackend::Reference),
-            other => Err(format!(
-                "unknown engine '{other}' (expected 'plan' or 'reference')"
-            )),
-        }
-    }
-
-    /// The canonical name, as recorded in manifests and event streams
-    /// (and accepted back by [`parse`](Self::parse)).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ExecBackend::Compiled => "compiled",
-            ExecBackend::Reference => "reference",
-        }
     }
 }
 
@@ -299,17 +252,12 @@ pub struct EngineConfig {
     pub threads: usize,
     /// Disables the memo cache when `false` (every job re-simulates).
     pub memoize: bool,
-    /// Writes one JSONL record per submitted job to this file. The file
-    /// is created (truncated) when the engine is built, so each engine
-    /// produces a fresh trace.
-    pub trace_path: Option<PathBuf>,
     /// Writes the structured observability event stream (spans, point
-    /// events, plan compilations, counter snapshots) to this file. Like
-    /// the trace, the file is created when the engine is built and an
-    /// unwritable path fails fast.
+    /// events, plan compilations, counter snapshots) to this file. The
+    /// file is created (truncated) when the engine is built, so each
+    /// engine produces a fresh stream, and an unwritable path fails
+    /// fast.
     pub events_path: Option<PathBuf>,
-    /// Which executor jobs run through (compiled plan by default).
-    pub backend: ExecBackend,
     /// Root directory of the persistent result store (second memo
     /// tier); `None` disables persistence. Opened when the engine is
     /// built; an unusable root fails fast with [`ExecError::Store`].
@@ -317,15 +265,13 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Auto thread count, memoization on, no trace, no events, no
-    /// persistent store.
+    /// Auto thread count, memoization on, no events, no persistent
+    /// store.
     pub fn new() -> Self {
         EngineConfig {
             threads: 0,
             memoize: true,
-            trace_path: None,
             events_path: None,
-            backend: ExecBackend::Compiled,
             store_path: None,
         }
     }
@@ -344,24 +290,10 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the JSONL trace path (builder style).
-    #[must_use]
-    pub fn trace(mut self, path: impl Into<PathBuf>) -> Self {
-        self.trace_path = Some(path.into());
-        self
-    }
-
     /// Sets the JSONL event-stream path (builder style).
     #[must_use]
     pub fn events(mut self, path: impl Into<PathBuf>) -> Self {
         self.events_path = Some(path.into());
-        self
-    }
-
-    /// Selects the execution backend (builder style).
-    #[must_use]
-    pub fn backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -382,8 +314,6 @@ impl EngineConfig {
         Json::obj()
             .field("threads", Json::UInt(self.threads as u64))
             .field("memoize", Json::Bool(self.memoize))
-            .field("backend", Json::str(self.backend.name()))
-            .field("trace", opt_path(&self.trace_path))
             .field("events", opt_path(&self.events_path))
             .field("store", opt_path(&self.store_path))
     }
@@ -410,17 +340,10 @@ impl EngineConfig {
             .get("memoize")
             .and_then(Json::as_bool)
             .ok_or("engine config missing memoize")?;
-        let backend = ExecBackend::parse(
-            doc.get("backend")
-                .and_then(Json::as_str)
-                .ok_or("engine config missing backend")?,
-        )?;
         Ok(EngineConfig {
             threads,
             memoize,
-            trace_path: opt_path("trace")?,
             events_path: opt_path("events")?,
-            backend,
             store_path: opt_path("store")?,
         })
     }
@@ -536,22 +459,19 @@ impl EngineMetrics {
 }
 
 /// The production [`Evaluator`]: a thread-pool simulator with a
-/// content-addressed memo cache and optional JSONL telemetry.
+/// content-addressed memo cache and an optional event stream.
 #[derive(Debug)]
 pub struct Engine {
     machine: MachineDesc,
     machine_fp: u64,
     threads: usize,
     memoize: bool,
-    backend: ExecBackend,
     memo: Mutex<HashMap<EvalKey, Result<Counters, ExecError>>>,
     /// One lowered plan per program, keyed by the program component of
     /// [`EvalKey`]: re-evaluations at new parameter points skip lowering.
     plans: Mutex<HashMap<u64, Arc<ExecutablePlan>>>,
     stats: Mutex<EngineStats>,
-    trace: Option<Mutex<BufWriter<File>>>,
     events: Option<Arc<EventStream>>,
-    seq: AtomicUsize,
     /// The persistent second memo tier, when configured.
     store: Option<ResultStore>,
     /// Keys currently being evaluated by some batch on this engine.
@@ -613,19 +533,19 @@ impl Drop for CellGuard<'_> {
 
 impl Engine {
     /// An engine with the default configuration (auto threads,
-    /// memoization on, no trace).
+    /// memoization on, no events, no store).
     pub fn new(machine: MachineDesc) -> Self {
-        Engine::with_config(machine, EngineConfig::new()).expect("no trace file to open")
+        Engine::with_config(machine, EngineConfig::new()).expect("no file to open")
     }
 
     /// An engine with an explicit configuration.
     ///
     /// # Errors
     ///
-    /// Fails only if a configured trace or event-stream file cannot be
-    /// created ([`ExecError::Telemetry`]) or a configured store root
-    /// cannot be opened ([`ExecError::Store`]) — detected here, before
-    /// any evaluation runs, so a bad path fails fast.
+    /// Fails only if a configured event-stream file cannot be created
+    /// ([`ExecError::Telemetry`]) or a configured store root cannot be
+    /// opened ([`ExecError::Store`]) — detected here, before any
+    /// evaluation runs, so a bad path fails fast.
     pub fn with_config(machine: MachineDesc, config: EngineConfig) -> Result<Self, ExecError> {
         Engine::with_config_and_events(machine, config, None)
     }
@@ -643,23 +563,14 @@ impl Engine {
         config: EngineConfig,
         injected_events: Option<Arc<EventStream>>,
     ) -> Result<Self, ExecError> {
-        let telemetry_err = |kind: &str, path: &PathBuf, e: std::io::Error| ExecError::Telemetry {
-            kind: kind.to_string(),
-            path: path.display().to_string(),
-            msg: e.to_string(),
-        };
-        let trace = match &config.trace_path {
-            Some(path) => {
-                let file = File::create(path).map_err(|e| telemetry_err("trace", path, e))?;
-                Some(labeled_mutex("engine.trace", BufWriter::new(file)))
-            }
-            None => None,
-        };
         let events = match (injected_events, &config.events_path) {
             (Some(stream), _) => Some(stream),
-            (None, Some(path)) => Some(Arc::new(
-                EventStream::to_file(path).map_err(|e| telemetry_err("events", path, e))?,
-            )),
+            (None, Some(path)) => Some(Arc::new(EventStream::to_file(path).map_err(|e| {
+                ExecError::Telemetry {
+                    path: path.display().to_string(),
+                    msg: e.to_string(),
+                }
+            })?)),
             (None, None) => None,
         };
         let store = match &config.store_path {
@@ -682,7 +593,6 @@ impl Engine {
                 Attrs::new()
                     .str("machine", &machine.name)
                     .str("machine_fingerprint", format!("{machine_fp:#018x}"))
-                    .str("backend", config.backend.name())
                     .bool("memoize", config.memoize),
             );
         }
@@ -690,13 +600,10 @@ impl Engine {
             machine_fp,
             threads: resolve_threads(config.threads),
             memoize: config.memoize,
-            backend: config.backend,
             memo: labeled_mutex("engine.memo", HashMap::new()),
             plans: labeled_mutex("engine.plans", HashMap::new()),
             stats: labeled_mutex("engine.stats", EngineStats::default()),
-            trace,
             events,
-            seq: AtomicUsize::new(0),
             store,
             inflight: labeled_mutex("engine.inflight", HashMap::new()),
             metrics: EngineMetrics::resolve(),
@@ -714,21 +621,25 @@ impl Engine {
         self.threads
     }
 
-    /// The execution backend this engine routes jobs through.
-    pub fn backend(&self) -> ExecBackend {
-        self.backend
-    }
-
     /// The memoized plan for `program` (fingerprint `fp`), lowering it on
-    /// first sight. Concurrent first sights may compile twice; the first
-    /// insertion wins and is returned by both. Each actual compilation
-    /// emits a `plan_compile` event carrying the lowering statistics.
+    /// first sight. Lowering runs outside the plan lock, so concurrent
+    /// first sights may both compile; the first insertion wins and is
+    /// returned by both. Only the winner counts in the `plan_compiles`
+    /// metric and emits the `plan_compile` event carrying the lowering
+    /// statistics, so both count each program exactly once.
     fn plan_for(&self, program: &Program, fp: u64) -> Result<Arc<ExecutablePlan>, ExecError> {
         if let Some(plan) = self.plans.lock().expect("plan lock").get(&fp) {
             return Ok(Arc::clone(plan));
         }
         let started = Instant::now();
         let plan = Arc::new(ExecutablePlan::compile(program)?);
+        let wall_us = started.elapsed().as_micros() as u64;
+        match self.plans.lock().expect("plan lock").entry(fp) {
+            Entry::Occupied(e) => return Ok(Arc::clone(e.get())),
+            Entry::Vacant(e) => {
+                e.insert(Arc::clone(&plan));
+            }
+        }
         self.metrics.plan_compiles.inc();
         if let Some(events) = &self.events {
             let s = plan.lowering_stats();
@@ -738,7 +649,7 @@ impl Engine {
                 Attrs::new()
                     .str("program", &program.name)
                     .str("fingerprint", format!("{fp:#018x}"))
-                    .uint("wall_us", started.elapsed().as_micros() as u64)
+                    .uint("wall_us", wall_us)
                     .uint("insts", s.insts as u64)
                     .uint("sites", s.sites as u64)
                     .uint("vops", s.vops as u64)
@@ -747,13 +658,7 @@ impl Engine {
                     .uint("hoisted_guards", s.hoisted_guards as u64),
             );
         }
-        Ok(Arc::clone(
-            self.plans
-                .lock()
-                .expect("plan lock")
-                .entry(fp)
-                .or_insert(plan),
-        ))
+        Ok(plan)
     }
 
     /// The memo key of `job` on this engine.
@@ -875,39 +780,23 @@ impl Evaluator for Engine {
             let result = match stored {
                 Some(counters) => Ok(counters),
                 None => {
-                    let result = match (self.backend, job.attributed) {
-                        (ExecBackend::Compiled, false) => self
-                            .plan_for(&job.program, key.0)
-                            .and_then(|plan| {
-                                plan.measure_with_stats(&job.params, &self.machine, &job.layout)
-                            })
-                            .map(|(c, s)| {
-                                ff = (s.ff_windows, s.ff_accesses);
-                                c
-                            }),
-                        (ExecBackend::Compiled, true) => self
-                            .plan_for(&job.program, key.0)
-                            .and_then(|plan| {
+                    let result = self
+                        .plan_for(&job.program, key.0)
+                        .and_then(|plan| {
+                            if job.attributed {
                                 plan.measure_attributed_with_stats(
                                     &job.params,
                                     &self.machine,
                                     &job.layout,
                                 )
-                            })
-                            .map(|(c, s)| {
-                                ff = (s.ff_windows, s.ff_accesses);
-                                c
-                            }),
-                        (ExecBackend::Reference, false) => {
-                            measure_reference(&job.program, &job.params, &self.machine, &job.layout)
-                        }
-                        (ExecBackend::Reference, true) => measure_attributed_reference(
-                            &job.program,
-                            &job.params,
-                            &self.machine,
-                            &job.layout,
-                        ),
-                    };
+                            } else {
+                                plan.measure_with_stats(&job.params, &self.machine, &job.layout)
+                            }
+                        })
+                        .map(|(c, s)| {
+                            ff = (s.ff_windows, s.ff_accesses);
+                            c
+                        });
                     // Persist successes only: errors are cheap to
                     // re-derive and need no on-disk encoding. A failed
                     // write degrades to a re-simulation next run, so
@@ -967,7 +856,7 @@ impl Evaluator for Engine {
             waits.iter().map(|cell| cell.wait()).collect();
 
         // Phase 3: publish to the memo cache, retire in-flight
-        // registrations, update stats, emit trace records, and
+        // registrations, update stats, emit point events, and
         // assemble results in submission order.
         if self.memoize {
             let mut memo = self.memo.lock().expect("memo lock");
@@ -1016,18 +905,15 @@ impl Evaluator for Engine {
                 Slot::Dup(u) => (ran[*u].0.clone(), true, 0, false, false),
                 Slot::Wait(w) => (waited[*w].clone(), true, 0, false, true),
             };
-            if let Some(trace) = &self.trace {
-                let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-                let line = trace_record(seq, &jobs[i], cache_hit, wall_us, &result);
-                let mut w = trace.lock().expect("trace lock");
-                let _ = writeln!(w, "{line}");
-            }
             if let Some(events) = &self.events {
+                let job = &jobs[i];
                 let mut attrs = Attrs::new()
-                    .str("label", &jobs[i].label)
-                    .str("program", &jobs[i].program.name)
-                    .bool("cache_hit", cache_hit)
-                    .uint("wall_us", wall_us);
+                    .str("label", &job.label)
+                    .str("program", &job.program.name);
+                for &(v, val) in job.params.pairs() {
+                    attrs = attrs.int(&format!("param_{}", job.program.var(v).name), val);
+                }
+                attrs = attrs.bool("cache_hit", cache_hit).uint("wall_us", wall_us);
                 // Service-layer provenance, only when it applies, so
                 // store-less runs emit streams shaped exactly as
                 // before.
@@ -1044,6 +930,7 @@ impl Evaluator for Engine {
                             .uint("cycles", c.cycles())
                             .uint("loads", c.loads)
                             .uint("stores", c.stores)
+                            .uint("prefetches", c.prefetches)
                             .uint("flops", c.flops)
                             .uint("tlb_misses", c.tlb_misses);
                         for (ci, &m) in c.cache_misses.iter().enumerate() {
@@ -1064,12 +951,9 @@ impl Evaluator for Engine {
                     }
                     Err(e) => attrs.str("status", "error").str("error", e.to_string()),
                 };
-                events.event(names::POINT, jobs[i].span, attrs);
+                events.event(names::POINT, job.span, attrs);
             }
             out.push(result);
-        }
-        if let Some(trace) = &self.trace {
-            let _ = trace.lock().expect("trace lock").flush();
         }
         if let Some(events) = &self.events {
             let mut attrs = Attrs::new()
@@ -1138,64 +1022,10 @@ fn resolve_threads(configured: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// One JSONL trace record (hand-rolled: the workspace has no JSON dep).
-fn trace_record(
-    seq: usize,
-    job: &EvalJob,
-    cache_hit: bool,
-    wall_us: u64,
-    result: &Result<Counters, ExecError>,
-) -> String {
-    let mut s = String::with_capacity(256);
-    let _ = write!(
-        s,
-        "{{\"seq\":{seq},\"label\":\"{}\",\"program\":\"{}\",\"params\":{{",
-        json_escape(&job.label),
-        json_escape(&job.program.name),
-    );
-    for (i, &(v, val)) in job.params.pairs().iter().enumerate() {
-        let name = job.program.var(v).name.as_str();
-        let _ = write!(
-            s,
-            "{}\"{}\":{val}",
-            if i > 0 { "," } else { "" },
-            json_escape(name)
-        );
-    }
-    let _ = write!(s, "}},\"cache_hit\":{cache_hit},\"wall_us\":{wall_us}");
-    match result {
-        Ok(c) => {
-            let _ = write!(
-                s,
-                ",\"status\":\"ok\",\"cycles\":{},\"loads\":{},\"stores\":{},\
-                 \"prefetches\":{},\"flops\":{},\"tlb_misses\":{},\"cache_misses\":[",
-                c.cycles(),
-                c.loads,
-                c.stores,
-                c.prefetches,
-                c.flops,
-                c.tlb_misses,
-            );
-            for (i, m) in c.cache_misses.iter().enumerate() {
-                let _ = write!(s, "{}{m}", if i > 0 { "," } else { "" });
-            }
-            s.push(']');
-        }
-        Err(e) => {
-            let _ = write!(
-                s,
-                ",\"status\":\"error\",\"error\":\"{}\"",
-                json_escape(&e.to_string())
-            );
-        }
-    }
-    s.push('}');
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::measure_reference;
     use eco_ir::{AffineExpr, ArrayRef, Loop, Program, ScalarExpr, Stmt, VarId};
 
     /// `A[I] += 1` over `I in 0..N-1`.
@@ -1247,24 +1077,16 @@ mod tests {
     }
 
     #[test]
-    fn reference_backend_matches_compiled_and_plans_are_memoized() {
+    fn plans_are_memoized_per_program() {
         let (p, n) = stream("s");
-        let compiled = Engine::new(machine());
-        let reference = Engine::with_config(
-            machine(),
-            EngineConfig::new().backend(ExecBackend::Reference),
-        )
-        .expect("engine");
-        assert_eq!(compiled.backend(), ExecBackend::Compiled);
-        assert_eq!(reference.backend(), ExecBackend::Reference);
+        let engine = Engine::new(machine());
         let jobs: Vec<EvalJob> = [8i64, 24, 48]
             .iter()
             .map(|&sz| EvalJob::new(p.clone(), Params::new().with(n, sz)))
             .collect();
-        assert_eq!(compiled.eval_batch(&jobs), reference.eval_batch(&jobs));
+        engine.eval_batch(&jobs);
         // One program at three parameter points: lowered exactly once.
-        assert_eq!(compiled.plans.lock().expect("plan lock").len(), 1);
-        assert_eq!(reference.plans.lock().expect("plan lock").len(), 0);
+        assert_eq!(engine.plans.lock().expect("plan lock").len(), 1);
     }
 
     #[test]
@@ -1351,30 +1173,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_every_job_with_hit_flags() {
-        let (p, n) = stream("s");
-        let dir = std::env::temp_dir().join(format!("eco-engine-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join("trace.jsonl");
-        let engine =
-            Engine::with_config(machine(), EngineConfig::new().trace(&path)).expect("config");
-        let job =
-            |sz: i64| EvalJob::new(p.clone(), Params::new().with(n, sz)).with_label("unit\"test");
-        engine.eval_batch(&[job(16), job(16), job(32)]);
-        let text = std::fs::read_to_string(&path).expect("trace written");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"seq\":0"));
-        assert!(lines[0].contains("\"cache_hit\":false"));
-        assert!(lines[1].contains("\"cache_hit\":true"), "{}", lines[1]);
-        assert!(lines[0].contains("\"params\":{\"N\":16}"));
-        assert!(lines[0].contains("\"status\":\"ok\""));
-        assert!(lines[0].contains("\"label\":\"unit\\\"test\""));
-        assert!(lines[2].contains("\"cycles\":"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn event_stream_records_points_batches_and_plan_compiles() {
         use eco_events::{check_stream, field};
         let (p, n) = stream("s");
@@ -1383,11 +1181,35 @@ mod tests {
         let path = dir.join("events.jsonl");
         let engine =
             Engine::with_config(machine(), EngineConfig::new().events(&path)).expect("config");
-        let job = |sz: i64| EvalJob::new(p.clone(), Params::new().with(n, sz)).with_label("t");
+        let job =
+            |sz: i64| EvalJob::new(p.clone(), Params::new().with(n, sz)).with_label("unit\"test");
         engine.eval_batch(&[job(16), job(16), job(32)]);
         engine.eval_batch(&[job(32)]);
         let text = std::fs::read_to_string(&path).expect("events written");
         let summary = check_stream(&text).expect("valid stream");
+        // One point event per submitted job, in submission order, each
+        // carrying its parameter bindings, memo flag and counters.
+        let points: Vec<&str> = text
+            .lines()
+            .filter(|l| field(l, "name") == Some("point"))
+            .collect();
+        let sizes: Vec<Option<&str>> = points.iter().map(|l| field(l, "param_N")).collect();
+        assert_eq!(sizes, [Some("16"), Some("16"), Some("32"), Some("32")]);
+        let hit_flags: Vec<Option<&str>> = points.iter().map(|l| field(l, "cache_hit")).collect();
+        assert_eq!(
+            hit_flags,
+            [Some("false"), Some("true"), Some("false"), Some("true")]
+        );
+        assert!(
+            points[0].contains("\"label\":\"unit\\\"test\""),
+            "{}",
+            points[0]
+        );
+        for l in &points {
+            assert_eq!(field(l, "status"), Some("ok"), "{l}");
+            assert!(field(l, "cycles").is_some(), "{l}");
+            assert_eq!(field(l, "prefetches"), Some("0"), "{l}");
+        }
         // 3 + 1 point events; one batch + engine_stats per eval_batch call;
         // one program lowered once => one plan_compile.
         assert_eq!(summary.events_named("point"), 4);
@@ -1556,8 +1378,6 @@ mod tests {
             EngineConfig::new()
                 .threads(4)
                 .memoize(false)
-                .backend(ExecBackend::Reference)
-                .trace("/tmp/t.jsonl")
                 .events("/tmp/e.jsonl")
                 .store("/tmp/store"),
         ];
@@ -1596,21 +1416,14 @@ mod tests {
     #[test]
     fn unwritable_telemetry_paths_fail_fast_with_clear_errors() {
         let bad = PathBuf::from("/nonexistent-dir/eco-telemetry.jsonl");
-        for (kind, config) in [
-            ("trace", EngineConfig::new().trace(&bad)),
-            ("events", EngineConfig::new().events(&bad)),
-        ] {
-            let err = Engine::with_config(machine(), config).expect_err("must fail");
-            match &err {
-                ExecError::Telemetry { kind: k, path, .. } => {
-                    assert_eq!(k, kind);
-                    assert_eq!(path, &bad.display().to_string());
-                }
-                other => panic!("unexpected error {other:?}"),
-            }
-            let msg = err.to_string();
-            assert!(msg.contains(&format!("cannot create {kind} file")), "{msg}");
-            assert!(!msg.contains("invalid program"), "{msg}");
+        let err = Engine::with_config(machine(), EngineConfig::new().events(&bad))
+            .expect_err("must fail");
+        match &err {
+            ExecError::Telemetry { path, .. } => assert_eq!(path, &bad.display().to_string()),
+            other => panic!("unexpected error {other:?}"),
         }
+        let msg = err.to_string();
+        assert!(msg.contains("cannot create events file"), "{msg}");
+        assert!(!msg.contains("invalid program"), "{msg}");
     }
 }

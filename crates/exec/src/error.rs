@@ -27,12 +27,10 @@ pub enum ExecError {
     },
     /// The program failed structural validation.
     Invalid(String),
-    /// A telemetry output file (`--trace` or `--events`) could not be
-    /// created. Raised when the engine is built, before any work runs,
-    /// so a bad path fails fast instead of surfacing after the search.
+    /// The event-stream file (`--events`) could not be created. Raised
+    /// when the engine is built, before any work runs, so a bad path
+    /// fails fast instead of surfacing after the search.
     Telemetry {
-        /// What the file was for (`"trace"`, `"events"`).
-        kind: String,
         /// The offending path.
         path: String,
         /// The underlying I/O error.
@@ -62,8 +60,8 @@ impl fmt::Display for ExecError {
                 extents,
             } => write!(f, "access {array}{indices:?} outside extents {extents:?}"),
             ExecError::Invalid(msg) => write!(f, "invalid program: {msg}"),
-            ExecError::Telemetry { kind, path, msg } => {
-                write!(f, "cannot create {kind} file {path}: {msg}")
+            ExecError::Telemetry { path, msg } => {
+                write!(f, "cannot create events file {path}: {msg}")
             }
             ExecError::Store { path, msg } => {
                 write!(f, "cannot open result store {path}: {msg}")

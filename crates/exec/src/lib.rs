@@ -11,14 +11,13 @@
 //!   the reproduction's substitute for executing candidate variants on
 //!   real hardware during the paper's empirical search.
 //!
-//! Both modes are served by two interchangeable executors: the
-//! production [`ExecutablePlan`] bytecode pipeline (lower once per
-//! program, replay at every parameter point, batch strided runs through
-//! the cache simulator) and the tree-walking reference
-//! ([`measure_reference`], [`interpret`]) it is differentially tested
-//! against. [`measure`] compiles-and-runs a plan; the [`Engine`]
-//! additionally memoizes plans per program so batch re-evaluations skip
-//! lowering.
+//! Both modes run on the production [`ExecutablePlan`] bytecode
+//! pipeline (lower once per program, replay at every parameter point,
+//! batch strided runs through the cache simulator). The one tree-walking
+//! reference executor ([`interpret`], [`measure_reference`]) is the
+//! oracle it is differentially tested against. [`measure`]
+//! compiles-and-runs a plan; the [`Engine`] additionally memoizes plans
+//! per program so batch re-evaluations skip lowering.
 //!
 //! # Examples
 //!
@@ -57,20 +56,17 @@
 
 mod engine;
 mod error;
-mod interp;
 mod layout;
 mod plan;
-mod trace;
+mod reference;
 
 pub use engine::{
     program_fingerprint, Engine, EngineConfig, EngineStats, EvalJob, EvalKey, Evaluator,
-    ExecBackend,
 };
 pub use error::ExecError;
-pub use interp::interpret;
 pub use layout::{ArrayLayout, LayoutOptions, Params, Storage};
 pub use plan::{measure, measure_attributed, ExecutablePlan, LoweringStats};
-pub use trace::{measure_attributed_reference, measure_reference};
+pub use reference::{interpret, measure_attributed_reference, measure_reference};
 
 /// The structured observability layer (spans, events, deterministic JSON
 /// manifests) the engine and search write through; re-exported so

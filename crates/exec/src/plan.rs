@@ -362,7 +362,7 @@ impl ExecutablePlan {
 /// This is the default measurement path: every engine, CLI, and
 /// benchmark goes through the compiled plan. The tree-walking
 /// [`measure_reference`](crate::measure_reference) remains available as
-/// the differential oracle (`--engine=reference`).
+/// the differential oracle.
 ///
 /// # Errors
 ///
@@ -1172,8 +1172,7 @@ impl NumericCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::interpret;
-    use crate::trace::{measure_attributed_reference, measure_reference};
+    use crate::reference::{interpret, measure_attributed_reference, measure_reference};
     use eco_ir::{ArrayRef, Cond, Loop, Stmt};
     use eco_kernels::Kernel;
 

@@ -2,10 +2,12 @@
 //! the controlled scheduler (`--cfg eco_sched`): concurrent batches
 //! racing the same evaluation key must agree byte-for-byte, account for
 //! every job exactly once (`evaluated + cache_hits + dedup_waits ==
-//! requested`), and never evaluate a key twice.
+//! requested`), and never evaluate a key twice. Jobs run through the
+//! production compiled-plan path, so the plan memo (`engine.plans`) is
+//! raced too.
 #![cfg(eco_sched)]
 
-use eco_exec::{Engine, EngineConfig, EvalJob, Evaluator, ExecBackend, Params};
+use eco_exec::{Engine, EngineConfig, EvalJob, Evaluator, Params};
 use eco_ir::{AffineExpr, ArrayRef, Loop, Program, ScalarExpr, Stmt, VarId};
 use eco_machine::MachineDesc;
 use eco_sched::model::{self, check};
@@ -14,7 +16,7 @@ use std::sync::Arc;
 use std::sync::Mutex as StdMutex;
 
 /// `A[I] += 1` over `I in 0..N-1` — the smallest real program the
-/// reference walker measures, so every schedule pays one tiny
+/// engine measures, so every schedule pays one tiny lowering and
 /// simulation, not a matmul.
 fn stream() -> (Program, VarId) {
     let mut p = Program::new("sched-stream");
@@ -47,9 +49,7 @@ fn memo_dedupe_accounting_holds_in_every_schedule() {
             let engine = Arc::new(
                 Engine::with_config(
                     MachineDesc::sgi_r10000().scaled(32),
-                    EngineConfig::new()
-                        .threads(1)
-                        .backend(ExecBackend::Reference),
+                    EngineConfig::new().threads(1),
                 )
                 .expect("engine"),
             );

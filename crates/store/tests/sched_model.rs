@@ -14,7 +14,16 @@ use eco_sched::{explore, Config, DiagCode};
 use eco_store::{faults, ResultStore, StoreKey};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// The fault hooks are process-wide and the harness runs tests on
+/// parallel threads: each test holds this lock, so one test's injected
+/// fault never leaks into another test's exploration.
+static FAULTS: Mutex<()> = Mutex::new(());
+
+fn exclusive_faults() -> MutexGuard<'static, ()> {
+    FAULTS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 static RUN_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -101,6 +110,7 @@ fn write_race_body() {
 
 #[test]
 fn clean_store_protocol_passes() {
+    let _faults = exclusive_faults();
     faults::TMP_NAME_COLLISION.store(false, Ordering::SeqCst);
     faults::INDEX_BEFORE_WRITE.store(false, Ordering::SeqCst);
     let report = explore(cfg(), write_race_body);
@@ -118,6 +128,7 @@ fn clean_store_protocol_passes() {
 
 #[test]
 fn tmp_seq_collision_is_caught_as_s005() {
+    let _faults = exclusive_faults();
     faults::INDEX_BEFORE_WRITE.store(false, Ordering::SeqCst);
     faults::TMP_NAME_COLLISION.store(true, Ordering::SeqCst);
     let report = explore(cfg(), write_race_body);
@@ -140,6 +151,7 @@ fn tmp_seq_collision_is_caught_as_s005() {
 
 #[test]
 fn index_before_write_is_caught_as_s006() {
+    let _faults = exclusive_faults();
     faults::TMP_NAME_COLLISION.store(false, Ordering::SeqCst);
     faults::INDEX_BEFORE_WRITE.store(true, Ordering::SeqCst);
     // One writer, one reader: the violating window (index published, bytes
@@ -179,6 +191,7 @@ fn index_before_write_is_caught_as_s006() {
 /// must never leave an index entry without bytes or fail a concurrent put.
 #[test]
 fn gc_race_stays_consistent_under_exploration() {
+    let _faults = exclusive_faults();
     faults::TMP_NAME_COLLISION.store(false, Ordering::SeqCst);
     faults::INDEX_BEFORE_WRITE.store(false, Ordering::SeqCst);
     let report = explore(cfg(), || {

@@ -283,15 +283,16 @@ fn tuned_jacobi_uses_prefetch_and_beats_native() {
     );
 }
 
-/// Both engine backends report the same `ExecError::OutOfBounds` —
-/// array name, evaluated indices, and extents — when a program walks
-/// one element past the end of an array. The compiled plan detects
-/// this analytically (per-site valid-iteration intervals) where the
-/// reference walker trips on the access itself, so the payloads must
-/// be compared field for field.
+/// The engine and the reference walker report the same
+/// `ExecError::OutOfBounds` — array name, evaluated indices, and
+/// extents — when a program walks one element past the end of an
+/// array. The engine's compiled plan detects this analytically
+/// (per-site valid-iteration intervals) where the reference walker
+/// trips on the access itself, so the payloads must be compared field
+/// for field.
 #[test]
 fn both_engine_backends_report_identical_out_of_bounds_errors() {
-    use eco_exec::{Engine, EngineConfig, EvalJob, Evaluator, ExecBackend, ExecError};
+    use eco_exec::{measure_reference, Engine, EvalJob, Evaluator, ExecError};
     use eco_ir::{AffineExpr, ArrayRef, Loop, ScalarExpr, Stmt};
     let mut p = Program::new("oob_walk");
     let n = p.add_param("N");
@@ -311,14 +312,14 @@ fn both_engine_backends_report_identical_out_of_bounds_errors() {
         }],
     }));
     let machine = MachineDesc::sgi_r10000().scaled(32);
-    let run = |backend: ExecBackend| {
-        let engine = Engine::with_config(machine.clone(), EngineConfig::new().backend(backend))
-            .expect("engine");
-        engine.eval(EvalJob::new(p.clone(), Params::new().with(n, 7)).with_label("oob"))
-    };
-    let compiled = run(ExecBackend::Compiled);
-    let reference = run(ExecBackend::Reference);
-    assert_eq!(compiled, reference, "backends disagree on the error");
+    let params = Params::new().with(n, 7);
+    let compiled = Engine::new(machine.clone())
+        .eval(EvalJob::new(p.clone(), params.clone()).with_label("oob"));
+    let reference = measure_reference(&p, &params, &machine, &LayoutOptions::default());
+    assert_eq!(
+        compiled, reference,
+        "engine and reference disagree on the error"
+    );
     let Err(ExecError::OutOfBounds {
         array,
         indices,

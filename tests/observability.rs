@@ -153,11 +153,7 @@ fn eco_cli_writes_valid_events_and_deterministic_manifests() {
 #[test]
 fn eco_cli_fails_fast_on_unwritable_telemetry_paths() {
     let eco = env!("CARGO_BIN_EXE_eco");
-    for (flag, kind) in [
-        ("--trace", "trace"),
-        ("--events", "events"),
-        ("--manifest", "manifest"),
-    ] {
+    for (flag, kind) in [("--events", "events"), ("--manifest", "manifest")] {
         let out = Command::new(eco)
             .args([
                 "tune",

@@ -419,3 +419,47 @@ fn served_tune_matches_a_local_manifest_and_reports_errors() {
     handle.join().expect("server thread");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn oversize_request_line_gets_an_error_and_a_hangup() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+    let dir = scratch("oversize");
+    let (socket, handle) = start_server(&dir, EngineConfig::new());
+
+    let stream = UnixStream::connect(&socket).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    std::thread::scope(|s| {
+        // The daemon stops reading at the cap and hangs up, so the
+        // rest of this write fails; only the reply matters.
+        s.spawn(move || {
+            let mut line = vec![b'x'; 2 << 20];
+            line.push(b'\n');
+            let _ = writer.write_all(&line);
+        });
+        reader.read_line(&mut reply).expect("error reply");
+    });
+    let doc = Json::parse(reply.trim_end()).expect("reply is JSON");
+    assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
+    assert!(doc
+        .get("error")
+        .and_then(Json::as_str)
+        .expect("error message")
+        .contains("exceeds"));
+    // The connection is closed after the reply.
+    let mut rest = String::new();
+    assert!(
+        matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+        "{rest}"
+    );
+
+    // The daemon still serves new connections.
+    let pong = serve::request(&socket, &Json::obj().field("op", Json::str("ping"))).expect("ping");
+    assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
+
+    shutdown(&socket);
+    handle.join().expect("server thread");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -58,7 +58,7 @@ fn serial_reference(spec: &SweepSpec) -> (String, String) {
             manifest = figure_manifest(
                 &spec.kernel,
                 &engine,
-                &EngineConfig::new().backend(engine.backend()),
+                &EngineConfig::new(),
                 spec.search_n,
                 &tuned,
             );
