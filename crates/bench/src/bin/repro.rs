@@ -46,21 +46,24 @@
 //!                    sharded sweep path instead — same bytes required
 //! ```
 //!
-//! options (after the command):
+//! options (after the command). Each command accepts only the ones it
+//! reads, from one table (`COMMANDS`) that also renders its usage line,
+//! and fails with `unknown option X` (exit 2) on any other; table2-4
+//! and attribution take none, plan only --shard-sizes and --plan-out.
 //!   --threads N      evaluation threads (0 = auto, the default)
 //!   --store DIR      persistent result store: a second run against the
 //!                    same DIR warm-starts from the first one's results
 //!                    (same bytes out, far fewer simulations)
 //!   --events DIR     write a structured event stream per command to DIR
-//!                    (sweep workers always write theirs under the
-//!                    sweep directory's events/)
-//!   --workers N      figures/all/check/sweep: shard the figure across
-//!                    N parallel worker processes (1 = serial)
+//!                    (not `sweep`: its workers always write theirs
+//!                    under the sweep directory's events/)
+//!   --workers N      figures/all/check/sweep/bench: shard the figure
+//!                    across N parallel worker processes (1 = serial)
 //!   --shard-sizes K  measure sizes per shard in the plan (default 4)
-//!   --sweep-dir DIR  root for sweep artifacts (default .eco-sweep);
-//!                    each figure works in DIR/FIG
-//!   --remote SOCKET  sweep: execute shards on an eco serve daemon
-//!                    instead of spawning local workers
+//!   --sweep-dir DIR  figures/all/sweep: root for sweep artifacts
+//!                    (default .eco-sweep); each figure works in DIR/FIG
+//!   --remote SOCKET  figures/all/check/sweep: execute shards on an
+//!                    eco serve daemon instead of spawning local workers
 //!   --plan-out FILE  plan only: write the plan JSON to FILE
 //!   --sweep FIG      bench only: also record sweep wall time at
 //!                    --workers 1 vs N (default 4) in the trajectory
@@ -85,6 +88,7 @@
 
 use eco_analysis::NestInfo;
 use eco_baselines::{atlas_mm_with, model_only};
+use eco_bench::cli::{self, Args, Command, EngineFlags, Flag, ENGINE, STORE, THREADS};
 use eco_bench::figures::{self, FigureDef, RunOpts};
 use eco_bench::sweep::{run_sweep, SweepConfig};
 use eco_bench::{
@@ -95,224 +99,145 @@ use eco_core::events::Json;
 use eco_core::{
     derive_variants, describe_variant, EngineConfig, Evaluator, Optimizer, SearchOptions, Shard,
 };
+use eco_kernels::Kernel;
 use eco_machine::MachineDesc;
 use eco_store::ResultStore;
 use std::fs;
 use std::path::PathBuf;
 
-use eco_bench::cli::EngineFlags;
-use eco_kernels::Kernel;
+const WORKERS: Flag = "--workers N";
+const REMOTE: Flag = "--remote SOCKET";
+const SHARD_SIZES: Flag = "--shard-sizes K";
+/// The sharded-sweep flags of the figure commands.
+const SWEEP: &[Flag] = &[WORKERS, REMOTE, "--sweep-dir DIR", SHARD_SIZES];
 
-/// Everything the command line can say: the engine/telemetry options
-/// shared with the library runners ([`RunOpts`]), plus the
-/// command-specific flags.
-struct ReproOpts {
-    run: RunOpts,
-    json: Option<String>,
-    bench_out: Option<String>,
-    smoke_only: bool,
-    workers: usize,
-    shard: Option<String>,
-    sweep_dir: String,
-    plan_out: Option<String>,
-    shard_sizes: usize,
-    remote: Option<String>,
-    sweep_fig: Option<String>,
-    figure_scale: usize,
-    positional: Vec<String>,
-}
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command::new("table1", "", &[ENGINE], |a| engine(a, table1)),
+    Command::new("table2", "", &[], |_| plain(table2)),
+    Command::new("table3", "", &[], |_| plain(table3)),
+    Command::new("table4", "", &[], |_| plain(table4)),
+    Command::new("fig4a", "", &[ENGINE, SWEEP], figure_cmd),
+    Command::new("fig4b", "", &[ENGINE, SWEEP], figure_cmd),
+    Command::new("fig5a", "", &[ENGINE, SWEEP], figure_cmd),
+    Command::new("fig5b", "", &[ENGINE, SWEEP], figure_cmd),
+    Command::new("searchcost", "", &[ENGINE], |a| engine(a, searchcost)),
+    Command::new("modelvsearch", "", &[ENGINE], |a| engine(a, modelvsearch)),
+    Command::new("prefetch", "", &[ENGINE], |a| engine(a, prefetch_ablation)),
+    Command::new("copyablation", "", &[ENGINE], |a| engine(a, copy_ablation)),
+    Command::new("padding", "", &[ENGINE], |a| engine(a, padding_ablation)),
+    Command::new("strategies", "", &[ENGINE], |a| engine(a, strategies_ablation)),
+    Command::new("attribution", "", &[], |_| plain(attribution)),
+    Command::new("modelrank", "", &[ENGINE], |a| engine(a, model_rank)),
+    Command::new("smoke", "", &[ENGINE, &["--json FILE"]], smoke),
+    Command::new("bench", "", &[ENGINE, &[
+        WORKERS, SHARD_SIZES, "--bench-out FILE", "--smoke-only", "--sweep FIG",
+    ]], bench),
+    Command::new("plan", "<FIG>", &[&[SHARD_SIZES, "--plan-out FILE"]], plan_cmd),
+    Command::new("shard", "", &[ENGINE, &["--shard FILE"]], shard_cmd),
+    Command::new("sweep", "<FIG>", &[&[THREADS, STORE], SWEEP, &["--figure-scale K"]], sweep_cmd),
+    Command::new("all", "", &[ENGINE, SWEEP], all),
+    Command::new("check", "", &[ENGINE, &[WORKERS, REMOTE, SHARD_SIZES]], check),
+];
 
-impl ReproOpts {
-    /// Whether figure commands should go through the sharded sweep
-    /// path instead of the serial runner.
-    fn sharded(&self) -> bool {
-        self.workers > 1 || self.remote.is_some()
+fn main() {
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.is_empty() {
+        argv.push("all".to_string());
     }
-
-    /// The sweep working directory for one figure.
-    fn figure_sweep_dir(&self, name: &str) -> PathBuf {
-        PathBuf::from(&self.sweep_dir).join(name)
-    }
-
-    /// The shared store a figure's sweep runs against: `--store` if
-    /// given, otherwise one inside the figure's sweep directory.
-    fn figure_store(&self, sweep_dir: &std::path::Path) -> PathBuf {
-        match &self.run.flags.store {
-            Some(dir) => PathBuf::from(dir),
-            None => sweep_dir.join("store"),
-        }
-    }
-
-    fn sweep_config(&self, sweep_dir: PathBuf, workers: usize, verbose: bool) -> SweepConfig {
-        let store = self.figure_store(&sweep_dir);
-        SweepConfig {
-            opts: self.run.clone(),
-            workers,
-            sizes_per_shard: self.shard_sizes,
-            store,
-            sweep_dir,
-            worker_exe: std::env::current_exe()
-                .unwrap_or_else(|e| panic!("cannot locate the repro binary: {e}")),
-            remote: self.remote.as_ref().map(PathBuf::from),
-            verbose,
-        }
+    if let Err(e) = cli::run("repro", COMMANDS, &argv) {
+        eprintln!("repro: {e}");
+        std::process::exit(2);
     }
 }
 
-fn parse_opts(args: &[String]) -> Result<ReproOpts, String> {
-    let mut flags = EngineFlags::new();
-    let mut run = RunOpts::default();
-    let mut json = None;
-    let mut bench_out = None;
-    let mut smoke_only = false;
-    let mut workers = 1usize;
-    let mut shard = None;
-    let mut sweep_dir = ".eco-sweep".to_string();
-    let mut plan_out = None;
-    let mut shard_sizes = 4usize;
-    let mut remote = None;
-    let mut sweep_fig = None;
-    let mut figure_scale = FIGURE_SCALE;
-    let mut positional = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--events" => {
-                run.events_dir = Some(it.next().ok_or("--events needs a directory")?.clone());
-            }
-            "--json" => {
-                json = Some(it.next().ok_or("--json needs a file")?.clone());
-            }
-            "--bench-out" => {
-                bench_out = Some(it.next().ok_or("--bench-out needs a file")?.clone());
-            }
-            "--smoke-only" => smoke_only = true,
-            "--workers" => {
-                workers = it
-                    .next()
-                    .ok_or("--workers needs a count")?
-                    .parse()
-                    .map_err(|_| "--workers needs a number".to_string())?;
-            }
-            "--shard" => {
-                shard = Some(it.next().ok_or("--shard needs a file")?.clone());
-            }
-            "--sweep-dir" => {
-                sweep_dir = it.next().ok_or("--sweep-dir needs a directory")?.clone();
-            }
-            "--plan-out" => {
-                plan_out = Some(it.next().ok_or("--plan-out needs a file")?.clone());
-            }
-            "--shard-sizes" => {
-                shard_sizes = it
-                    .next()
-                    .ok_or("--shard-sizes needs a count")?
-                    .parse()
-                    .map_err(|_| "--shard-sizes needs a number".to_string())?;
-            }
-            "--remote" => {
-                remote = Some(it.next().ok_or("--remote needs a socket path")?.clone());
-            }
-            "--sweep" => {
-                sweep_fig = Some(it.next().ok_or("--sweep needs a figure name")?.clone());
-            }
-            "--figure-scale" => {
-                figure_scale = it
-                    .next()
-                    .ok_or("--figure-scale needs a factor")?
-                    .parse()
-                    .map_err(|_| "--figure-scale needs a number".to_string())?;
-                if figure_scale == 0 {
-                    return Err("--figure-scale must be positive".to_string());
-                }
-            }
-            other => {
-                if !flags.accept(other, &mut it)? {
-                    if other.starts_with('-') {
-                        return Err(format!("unknown option {other}"));
-                    }
-                    positional.push(other.to_string());
-                }
-            }
-        }
-    }
-    run.flags = flags;
-    Ok(ReproOpts {
-        run,
-        json,
-        bench_out,
-        smoke_only,
-        workers,
-        shard,
-        sweep_dir,
-        plan_out,
-        shard_sizes,
-        remote,
-        sweep_fig,
-        figure_scale,
-        positional,
+/// Runs a command that reads no flags.
+fn plain(command: fn()) -> Result<(), String> {
+    command();
+    Ok(())
+}
+
+/// Runs a command that reads only the [`ENGINE`] flags.
+fn engine(a: &Args, command: fn(&RunOpts)) -> Result<(), String> {
+    command(&run_opts(a)?);
+    Ok(())
+}
+
+/// The engine and telemetry options of an [`ENGINE`] command.
+fn run_opts(a: &Args) -> Result<RunOpts, String> {
+    Ok(RunOpts {
+        flags: EngineFlags::from_args(a)?,
+        events_dir: a.get("--events").map(String::from),
     })
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("repro: {msg}");
-    std::process::exit(2);
+/// A sweep of `workers` local processes against a cold store inside
+/// `sweep_dir` (workers write their own event streams there).
+fn sweep_config(
+    a: &Args,
+    sweep_dir: PathBuf,
+    workers: usize,
+    verbose: bool,
+) -> Result<SweepConfig, String> {
+    Ok(SweepConfig {
+        opts: RunOpts {
+            flags: EngineFlags::from_args(a)?,
+            events_dir: None,
+        },
+        workers,
+        sizes_per_shard: a.num("--shard-sizes", 4)?,
+        store: sweep_dir.join("store"),
+        sweep_dir,
+        worker_exe: std::env::current_exe()
+            .unwrap_or_else(|e| panic!("cannot locate the repro binary: {e}")),
+        remote: None,
+        verbose,
+    })
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, rest) = match args.split_first() {
-        Some((c, r)) => (c.clone(), r.to_vec()),
-        None => ("all".to_string(), Vec::new()),
-    };
-    let opts = match parse_opts(&rest) {
-        Ok(o) => o,
-        Err(e) => die(&e),
-    };
-    match cmd.as_str() {
-        "table1" => table1(&opts.run),
-        "table2" => table2(),
-        "table3" => table3(),
-        "table4" => table4(),
-        "searchcost" => searchcost(&opts.run),
-        "modelvsearch" => modelvsearch(&opts.run),
-        "prefetch" => prefetch_ablation(&opts.run),
-        "copyablation" => copy_ablation(&opts.run),
-        "padding" => padding_ablation(&opts.run),
-        "strategies" => strategies_ablation(&opts.run),
-        "attribution" => attribution(),
-        "modelrank" => model_rank(&opts.run),
-        "smoke" | "--smoke" => smoke(&opts),
-        "bench" => bench(&opts),
-        "check" => check(&opts),
-        "plan" => plan_cmd(&opts),
-        "shard" => shard_cmd(&opts),
-        "sweep" => sweep_cmd(&opts),
-        "all" => {
-            let _ = fs::create_dir_all("results");
-            table2();
-            table3();
-            table4();
-            table1(&opts.run);
-            for def in figures::FIGURES {
-                save(def.name, figure_output(def, &opts));
-            }
-            searchcost(&opts.run);
-            modelvsearch(&opts.run);
-            prefetch_ablation(&opts.run);
-            copy_ablation(&opts.run);
-            padding_ablation(&opts.run);
-            strategies_ablation(&opts.run);
-            attribution();
-            model_rank(&opts.run);
-        }
-        name => match figures::figure(name) {
-            Some(def) => drop(figure_output(def, &opts)),
-            None => die(&format!(
-                "unknown command {name}; see the module docs for the list"
-            )),
-        },
+/// The sweep a figure command's [`SWEEP`] flags select: the figure's
+/// directory under `--sweep-dir`, against `--store` when given.
+fn figure_sweep(a: &Args, name: &str) -> Result<SweepConfig, String> {
+    let sweep_dir = PathBuf::from(a.get("--sweep-dir").unwrap_or(".eco-sweep")).join(name);
+    let mut config = sweep_config(a, sweep_dir, a.num("--workers", 1)?, true)?;
+    if let Some(store) = a.get("--store") {
+        config.store = store.into();
     }
+    config.remote = a.get("--remote").map(PathBuf::from);
+    Ok(config)
+}
+
+fn figure_cmd(a: &Args) -> Result<(), String> {
+    let def = figures::figure(a.command()).expect("every figure row names a figure");
+    let sweep = figure_sweep(a, def.name)?;
+    figure_output(def, &run_opts(a)?, &sweep).map(drop)
+}
+
+/// `repro all`: every table and figure, the figures also written to
+/// `results/`.
+fn all(a: &Args) -> Result<(), String> {
+    let run = run_opts(a)?;
+    let sweeps = figures::FIGURES
+        .iter()
+        .map(|def| figure_sweep(a, def.name))
+        .collect::<Result<Vec<_>, _>>()?;
+    let _ = fs::create_dir_all("results");
+    table2();
+    table3();
+    table4();
+    table1(&run);
+    for (def, sweep) in figures::FIGURES.iter().zip(&sweeps) {
+        save(def.name, figure_output(def, &run, sweep)?);
+    }
+    searchcost(&run);
+    modelvsearch(&run);
+    prefetch_ablation(&run);
+    copy_ablation(&run);
+    padding_ablation(&run);
+    strategies_ablation(&run);
+    attribution();
+    model_rank(&run);
+    Ok(())
 }
 
 fn save(name: &str, out: (Sweep, String)) {
@@ -324,42 +249,36 @@ fn save(name: &str, out: (Sweep, String)) {
 
 // ---------------------------------------------------------------- sweeps
 
-/// One figure's outputs, by whichever path the options select: the
-/// serial runner, or the sharded sweep (`--workers`/`--remote`).
-fn figure_output(def: &'static FigureDef, opts: &ReproOpts) -> (Sweep, String) {
-    if !opts.sharded() {
-        return figures::run(def, &opts.run);
+/// One figure's outputs, by whichever path `sweep` selects: the serial
+/// runner, or the sharded sweep (`--workers`/`--remote`).
+fn figure_output(
+    def: &'static FigureDef,
+    run: &RunOpts,
+    sweep: &SweepConfig,
+) -> Result<(Sweep, String), String> {
+    if sweep.workers <= 1 && sweep.remote.is_none() {
+        return Ok(figures::run(def, run));
     }
     println!("{}", def.banner());
-    let config = opts.sweep_config(opts.figure_sweep_dir(def.name), opts.workers, true);
-    let outcome = match run_sweep(&def.spec(), &config) {
-        Ok(o) => o,
-        Err(e) => die(&e),
-    };
+    let outcome = run_sweep(&def.spec(), sweep)?;
     print!("{}", outcome.sweep.to_table());
     println!(
         "   sweep: {} shard(s) planned, {} executed, {} skipped in {:.1}s ({} worker(s))",
-        outcome.planned, outcome.executed, outcome.skipped, outcome.wall_secs, config.workers
+        outcome.planned, outcome.executed, outcome.skipped, outcome.wall_secs, sweep.workers
     );
     println!();
-    (outcome.sweep, outcome.manifest)
+    Ok((outcome.sweep, outcome.manifest))
 }
 
 /// `repro plan FIG`: print (or write) the figure's shard plan.
-fn plan_cmd(opts: &ReproOpts) {
-    let name = opts
-        .positional
-        .first()
-        .unwrap_or_else(|| die("plan: which figure? (repro plan fig4a)"));
-    let def = figures::figure(name).unwrap_or_else(|| die(&format!("plan: unknown figure {name}")));
-    let plan = match eco_core::SweepPlan::plan(&def.spec(), opts.shard_sizes) {
-        Ok(p) => p,
-        Err(e) => die(&e),
-    };
+fn plan_cmd(a: &Args) -> Result<(), String> {
+    let name = &a.positionals[0];
+    let def = figures::figure(name).ok_or_else(|| format!("plan: unknown figure {name}"))?;
+    let plan = eco_core::SweepPlan::plan(&def.spec(), a.num("--shard-sizes", 4)?)?;
     let text = plan.to_json().render();
-    match &opts.plan_out {
+    match a.get("--plan-out") {
         Some(path) => {
-            fs::write(path, &text).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+            fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
             println!(
                 "wrote plan for {name} to {path} ({} shards, fingerprint {:#018x})",
                 plan.shards.len(),
@@ -368,36 +287,33 @@ fn plan_cmd(opts: &ReproOpts) {
         }
         None => print!("{text}"),
     }
+    Ok(())
 }
 
 /// `repro shard --shard FILE`: the worker entry point. Executes one
 /// shard manifest on a fresh engine; with `--store` the result becomes
 /// the shard's completion record, otherwise it goes to stdout.
-fn shard_cmd(opts: &ReproOpts) {
-    let path = opts
-        .shard
-        .as_ref()
-        .unwrap_or_else(|| die("shard: --shard FILE required"));
-    let text =
-        fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-    let doc = Json::parse(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-    let shard = Shard::from_json(&doc).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+fn shard_cmd(a: &Args) -> Result<(), String> {
+    let run = run_opts(a)?;
+    let path = a.get("--shard").ok_or("shard: --shard FILE required")?;
+    let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let shard = Shard::from_json(&doc).map_err(|e| format!("{path}: {e}"))?;
     let fp = shard.fingerprint();
     let label = format!("{fp:016x}");
-    let mut cfg = opts.run.flags.apply(EngineConfig::new());
-    if let Some(dir) = &opts.run.events_dir {
+    let mut cfg = run.flags.apply(EngineConfig::new());
+    if let Some(dir) = &run.events_dir {
         let _ = fs::create_dir_all(dir);
         cfg = cfg.events(format!("{dir}/{label}.events.jsonl"));
     }
-    let result = eco_bench::sweep::execute_shard(&shard, cfg)
-        .unwrap_or_else(|e| die(&format!("shard {label}: {e}")));
-    match &opts.run.flags.store {
+    let result =
+        eco_bench::sweep::execute_shard(&shard, cfg).map_err(|e| format!("shard {label}: {e}"))?;
+    match &run.flags.store {
         Some(dir) => {
-            let store =
-                ResultStore::open(dir).unwrap_or_else(|e| die(&format!("store {dir}: {e}")));
+            let store = ResultStore::open(dir).map_err(|e| format!("store {dir}: {e}"))?;
             store
                 .mark_shard_complete(fp, &result)
-                .unwrap_or_else(|e| die(&format!("cannot record completion: {e}")));
+                .map_err(|e| format!("cannot record completion: {e}"))?;
             println!(
                 "shard {fp:#018x} complete ({} {}/{})",
                 shard.figure,
@@ -407,43 +323,40 @@ fn shard_cmd(opts: &ReproOpts) {
         }
         None => print!("{}", result.render()),
     }
+    Ok(())
 }
 
 /// `repro sweep FIG`: the full plan → execute → gather pipeline for one
 /// figure, writing the gathered CSV and manifest under the sweep
 /// directory.
-fn sweep_cmd(opts: &ReproOpts) {
-    let name = opts
-        .positional
-        .first()
-        .unwrap_or_else(|| die("sweep: which figure? (repro sweep fig4a --workers 4)"));
-    let def =
-        figures::figure(name).unwrap_or_else(|| die(&format!("sweep: unknown figure {name}")));
+fn sweep_cmd(a: &Args) -> Result<(), String> {
+    let name = &a.positionals[0];
+    let def = figures::figure(name).ok_or_else(|| format!("sweep: unknown figure {name}"))?;
+    let figure_scale = a.num("--figure-scale", FIGURE_SCALE)?;
+    if figure_scale == 0 {
+        return Err("--figure-scale must be positive".to_string());
+    }
+    let config = figure_sweep(a, def.name)?;
     println!("{}", def.banner());
-    if opts.figure_scale != FIGURE_SCALE {
+    if figure_scale != FIGURE_SCALE {
         println!(
-            "   (machine scale 1/{} — outputs will NOT match the committed goldens)",
-            opts.figure_scale
+            "   (machine scale 1/{figure_scale} — outputs will NOT match the committed goldens)"
         );
     }
-    let sweep_dir = opts.figure_sweep_dir(def.name);
-    let config = opts.sweep_config(sweep_dir.clone(), opts.workers, true);
-    let outcome = match run_sweep(&def.spec_with_scale(opts.figure_scale), &config) {
-        Ok(o) => o,
-        Err(e) => die(&e),
-    };
+    let outcome = run_sweep(&def.spec_with_scale(figure_scale), &config)?;
     print!("{}", outcome.sweep.to_table());
     println!(
         "   sweep: {} shard(s) planned, {} executed, {} skipped in {:.1}s ({} worker(s))",
         outcome.planned, outcome.executed, outcome.skipped, outcome.wall_secs, config.workers
     );
-    let csv = sweep_dir.join(format!("{}.csv", def.name));
-    let manifest = sweep_dir.join(format!("{}.manifest.json", def.name));
+    let csv = config.sweep_dir.join(format!("{}.csv", def.name));
+    let manifest = config.sweep_dir.join(format!("{}.manifest.json", def.name));
     fs::write(&csv, outcome.sweep.to_csv())
-        .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", csv.display())));
+        .map_err(|e| format!("cannot write {}: {e}", csv.display()))?;
     fs::write(&manifest, &outcome.manifest)
-        .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", manifest.display())));
+        .map_err(|e| format!("cannot write {}: {e}", manifest.display()))?;
     println!("   wrote {} and {}", csv.display(), manifest.display());
+    Ok(())
 }
 
 /// Regenerates every committed figure CSV and run manifest in memory
@@ -458,19 +371,22 @@ fn sweep_cmd(opts: &ReproOpts) {
 /// figures regenerate through the sharded sweep path in scratch sweep
 /// directories, and the orchestrator stream plus every worker stream
 /// is validated instead.
-fn check(opts: &ReproOpts) {
-    if opts.sharded() {
-        return check_sharded(opts);
+fn check(a: &Args) -> Result<(), String> {
+    let run = run_opts(a)?;
+    let workers = a.num("--workers", 1)?;
+    let remote = a.get("--remote").map(PathBuf::from);
+    if workers > 1 || remote.is_some() {
+        return check_sharded(a, workers, remote);
     }
-    let scratch_events = opts.run.events_dir.is_none();
-    let events_dir = opts.run.events_dir.clone().unwrap_or_else(|| {
+    let scratch_events = run.events_dir.is_none();
+    let events_dir = run.events_dir.clone().unwrap_or_else(|| {
         std::env::temp_dir()
             .join(format!("eco-check-events-{}", std::process::id()))
             .to_string_lossy()
             .into_owned()
     });
     let run = RunOpts {
-        flags: opts.run.flags.clone(),
+        flags: run.flags,
         events_dir: Some(events_dir.clone()),
     };
     println!("== check: regenerated outputs vs committed results/ ==");
@@ -487,24 +403,25 @@ fn check(opts: &ReproOpts) {
         let _ = fs::remove_dir_all(&events_dir);
     }
     finish_check(drift);
+    Ok(())
 }
 
 /// The `--workers N` variant of [`check`]: every figure regenerates
 /// through the sharded sweep path in a scratch directory (cold store —
 /// resume must not leak into the gate) and must still reproduce the
 /// committed bytes.
-fn check_sharded(opts: &ReproOpts) {
+fn check_sharded(a: &Args, workers: usize, remote: Option<PathBuf>) -> Result<(), String> {
     let root = std::env::temp_dir().join(format!("eco-check-sweep-{}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
     println!(
         "== check: sharded regeneration ({} workers) vs committed results/ ==",
-        opts.workers.max(1)
+        workers.max(1)
     );
     let mut drift = 0usize;
     for def in figures::FIGURES {
         let sweep_dir = root.join(def.name);
-        let mut config = opts.sweep_config(sweep_dir.clone(), opts.workers, false);
-        config.store = sweep_dir.join("store");
+        let mut config = sweep_config(a, sweep_dir.clone(), workers, false)?;
+        config.remote = remote.clone();
         match run_sweep(&def.spec(), &config) {
             Ok(outcome) => {
                 drift += diff_against_golden(def.name, &outcome.sweep, &outcome.manifest);
@@ -534,6 +451,7 @@ fn check_sharded(opts: &ReproOpts) {
     }
     let _ = fs::remove_dir_all(&root);
     finish_check(drift);
+    Ok(())
 }
 
 /// Diffs one figure's regenerated CSV and manifest against the
@@ -928,13 +846,14 @@ impl SmokeResult {
 /// unique MM and Jacobi points (no memo hits) and prints
 /// evaluated-points/sec. No threshold — the number is informational, so
 /// slow runners never fail the build.
-fn smoke(opts: &ReproOpts) {
-    let result = run_smoke(&opts.run);
-    if let Some(path) = &opts.json {
+fn smoke(a: &Args) -> Result<(), String> {
+    let result = run_smoke(&run_opts(a)?);
+    if let Some(path) = a.get("--json") {
         fs::write(path, result.to_json().render())
-            .unwrap_or_else(|e| panic!("cannot write smoke json {path}: {e}"));
+            .map_err(|e| format!("cannot write smoke json {path}: {e}"))?;
     }
     println!();
+    Ok(())
 }
 
 fn run_smoke(run: &RunOpts) -> SmokeResult {
@@ -1001,16 +920,30 @@ fn run_smoke(run: &RunOpts) -> SmokeResult {
 /// (default 4), run in scratch directories with cold stores. The JSON
 /// goes to `--bench-out FILE` (and stdout otherwise); compare two of
 /// these files with `eco report --compare OLD NEW`.
-fn bench(opts: &ReproOpts) {
+fn bench(a: &Args) -> Result<(), String> {
     use std::hash::Hasher;
     use std::time::Instant;
+    let run = run_opts(a)?;
+    let smoke_only = a.has("--smoke-only");
+    let sweep = match a.get("--sweep") {
+        Some(name) => {
+            let def = figures::figure(name)
+                .ok_or_else(|| format!("bench: unknown --sweep figure {name}"))?;
+            let workers = match a.num("--workers", 1)? {
+                w if w > 1 => w,
+                _ => 4,
+            };
+            Some((def, sweep_config(a, PathBuf::new(), workers, false)?))
+        }
+        None => None,
+    };
     println!("== bench: benchmark trajectory ==");
-    let smoke = run_smoke(&opts.run);
+    let smoke = run_smoke(&run);
     let mut figures_json = Json::obj();
-    if !opts.smoke_only {
+    if !smoke_only {
         for def in figures::FIGURES {
             let started = Instant::now();
-            let (_, manifest) = figures::run(def, &opts.run);
+            let (_, manifest) = figures::run(def, &run);
             let wall = started.elapsed().as_secs_f64();
             let points = Json::parse(&manifest)
                 .ok()
@@ -1034,7 +967,10 @@ fn bench(opts: &ReproOpts) {
             );
         }
     }
-    let sweep_section = opts.sweep_fig.as_ref().map(|name| bench_sweep(name, opts));
+    let sweep_section = match sweep {
+        Some((def, config)) => Some(bench_sweep(def, config)?),
+        None => None,
+    };
     let mut doc = Json::obj()
         .field("bench_version", Json::UInt(1))
         .field("generator", Json::str("repro bench"))
@@ -1043,40 +979,41 @@ fn bench(opts: &ReproOpts) {
             Json::str(&MachineDesc::sgi_r10000().scaled(FIGURE_SCALE).name),
         )
         .field("smoke", smoke.to_json());
-    if !opts.smoke_only {
+    if !smoke_only {
         doc = doc.field("figures", figures_json);
     }
     if let Some(section) = sweep_section {
         doc = doc.field("sweep", section);
     }
-    match &opts.bench_out {
+    match a.get("--bench-out") {
         Some(path) => {
             fs::write(path, doc.render())
-                .unwrap_or_else(|e| panic!("cannot write trajectory {path}: {e}"));
+                .map_err(|e| format!("cannot write trajectory {path}: {e}"))?;
             println!("   wrote trajectory to {path}");
         }
         None => print!("{}", doc.render()),
     }
+    Ok(())
 }
 
 /// The `--sweep FIG` section of the trajectory: wall time of a cold
-/// sharded sweep at one worker vs several, in scratch directories.
-fn bench_sweep(name: &str, opts: &ReproOpts) -> Json {
-    let def = figures::figure(name)
-        .unwrap_or_else(|| die(&format!("bench: unknown --sweep figure {name}")));
-    let workers = if opts.workers > 1 { opts.workers } else { 4 };
+/// sharded sweep at one worker vs `sharded.workers`, in scratch
+/// directories.
+fn bench_sweep(def: &FigureDef, sharded: SweepConfig) -> Result<Json, String> {
+    let name = def.name;
+    let workers = sharded.workers;
     let root = std::env::temp_dir().join(format!("eco-bench-sweep-{}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
     let mut walls = [0.0f64; 2];
     for (slot, w) in [1usize, workers].into_iter().enumerate() {
         let sweep_dir = root.join(format!("{name}-w{w}"));
-        let mut config = opts.sweep_config(sweep_dir.clone(), w, false);
-        config.store = sweep_dir.join("store");
-        config.remote = None;
-        let outcome = match run_sweep(&def.spec(), &config) {
-            Ok(o) => o,
-            Err(e) => die(&e),
+        let config = SweepConfig {
+            workers: w,
+            store: sweep_dir.join("store"),
+            sweep_dir,
+            ..sharded.clone()
         };
+        let outcome = run_sweep(&def.spec(), &config)?;
         walls[slot] = outcome.wall_secs;
         println!(
             "   sweep {name} workers={w}: {} shard(s) in {:.1}s",
@@ -1084,12 +1021,12 @@ fn bench_sweep(name: &str, opts: &ReproOpts) -> Json {
         );
     }
     let _ = fs::remove_dir_all(&root);
-    Json::obj()
+    Ok(Json::obj()
         .field("figure", Json::str(name))
         .field("workers", Json::UInt(workers as u64))
         .field("serial_secs", Json::Float(walls[0]))
         .field("sharded_secs", Json::Float(walls[1]))
-        .field("speedup", Json::Float(walls[0] / walls[1].max(1e-9)))
+        .field("speedup", Json::Float(walls[0] / walls[1].max(1e-9))))
 }
 
 fn model_rank(run: &RunOpts) {

@@ -45,28 +45,18 @@ pub use trajectory::{
 use eco_events::read::read_records;
 use eco_events::StreamSummary;
 
-/// How [`analyze_stream`] reads and enriches a stream.
-#[derive(Debug, Clone)]
+/// Chunk size [`analyze_stream`] hands to [`read_records`]: the text is
+/// already in memory and the parse is the same at any chunk size.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// How [`analyze_stream`] enriches a stream.
+#[derive(Debug, Clone, Default)]
 pub struct ReportOptions {
-    /// Read buffer size in bytes for the streaming parser (the report
-    /// must be identical for any value; the determinism test asserts
-    /// this).
-    pub buf_size: usize,
     /// Whether to run the attributed re-measurement pass. Off by
     /// default: it needs the kernel and machine to be resolvable.
     pub attribute: bool,
     /// Context for the attribution pass.
     pub attribution: AttributionOptions,
-}
-
-impl Default for ReportOptions {
-    fn default() -> Self {
-        ReportOptions {
-            buf_size: 64 * 1024,
-            attribute: false,
-            attribution: AttributionOptions::default(),
-        }
-    }
 }
 
 /// Everything derived from one event stream.
@@ -101,7 +91,7 @@ pub struct RunReport {
 pub fn analyze_stream(text: &str, source: &str, opts: &ReportOptions) -> Result<RunReport, String> {
     let summary = eco_events::check_stream(text).map_err(|e| format!("{source}: {e}"))?;
     let records =
-        read_records(text.as_bytes(), opts.buf_size).map_err(|e| format!("{source}: {e}"))?;
+        read_records(text.as_bytes(), READ_CHUNK).map_err(|e| format!("{source}: {e}"))?;
     let tree = SpanTree::build(&records).map_err(|e| format!("{source}: {e}"))?;
     let profile = SearchProfile::from_tree(&tree);
     let (attribution, attribution_error) = if opts.attribute {

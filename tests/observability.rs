@@ -150,32 +150,47 @@ fn eco_cli_writes_valid_events_and_deterministic_manifests() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Command lines that must fail with exit 2 before doing any work,
+/// with a fragment of the expected error.
+#[rustfmt::skip]
+const BAD_COMMAND_LINES: &[(&str, &str)] = &[
+    // Unwritable telemetry paths fail before the search starts.
+    ("eco tune mm --search-n 16 --events /nonexistent-dir/t.jsonl", "cannot create events file"),
+    ("eco tune mm --search-n 16 --manifest /nonexistent-dir/t.json", "cannot create manifest file"),
+    // A command rejects every flag it does not read.
+    ("eco variants mm --threads 4 --code --events /nonexistent/x", "unknown option --threads"),
+    ("eco lint mm --store /nonexistent --events /nonexistent/x", "unknown option --store"),
+    ("repro smoke --figure-scale 1 --workers 4 --plan-out /x", "unknown option --figure-scale"),
+    ("repro table2 --json /nonexistent/x", "unknown option --json"),
+    ("eco show mm --bogus", "unknown option --bogus"),
+    ("eco client ping --sockt x", "unknown option --sockt"),
+    ("eco tune mm --n 64", "unknown option --n"),
+    ("eco lint --seed 3", "unknown option --seed"),
+    ("eco report --events e.jsonl --buf-size 1", "unknown option --buf-size"),
+    ("repro --smoke", "unknown command --smoke"),
+    ("eco trace a b", "unexpected argument b"),
+    // Values that would disable the gate, panic later, or be ignored.
+    ("eco report --compare old.json new.json --threshold nan", "bad --threshold"),
+    ("eco top --interval inf", "bad --interval"),
+    ("eco report --scale 4", "--scale needs --machine"),
+];
+
 #[test]
-fn eco_cli_fails_fast_on_unwritable_telemetry_paths() {
-    let eco = env!("CARGO_BIN_EXE_eco");
-    for (flag, kind) in [("--events", "events"), ("--manifest", "manifest")] {
-        let out = Command::new(eco)
-            .args([
-                "tune",
-                "mm",
-                "--search-n",
-                "16",
-                flag,
-                "/nonexistent-dir/x/t.jsonl",
-            ])
-            .output()
-            .expect("run eco");
-        assert!(!out.status.success(), "{flag} must fail");
+fn cli_fails_fast_on_bad_command_lines() {
+    for (line, expected) in BAD_COMMAND_LINES {
+        let mut argv = line.split_whitespace();
+        let bin = match argv.next() {
+            Some("eco") => env!("CARGO_BIN_EXE_eco"),
+            _ => env!("CARGO_BIN_EXE_repro"),
+        };
+        let out = Command::new(bin).args(argv).output().expect("run the CLI");
         let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
         assert!(
-            stderr.contains(&format!("cannot create {kind} file")),
-            "{flag}: unexpected stderr: {stderr}"
+            stderr.contains(expected),
+            "{line}: unexpected stderr: {stderr}"
         );
-        // Fail-fast: the search never started, so nothing was printed.
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            !stdout.contains("selected"),
-            "{flag}: search ran before the error: {stdout}"
-        );
+        // Fail-fast: no work ran, so nothing was printed.
+        assert!(out.stdout.is_empty(), "{line}: work ran before the error");
     }
 }

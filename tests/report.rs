@@ -1,9 +1,10 @@
-//! Report-subsystem integration tests: byte-determinism of every
-//! rendering across read-buffer sizes, a committed golden fixture, the
+//! Report-subsystem integration tests: the fixture stream parses the
+//! same at any read-chunk size, a committed golden fixture, the
 //! trajectory regression gate, and a live tune → report round trip.
 
 use eco_core::events::Json;
 use eco_core::{EngineConfig, SearchOptions, TuneRequest};
+use eco_events::read::read_records;
 use eco_kernels::Kernel;
 use eco_machine::MachineDesc;
 use eco_report::{
@@ -16,14 +17,10 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("fixture {path}: {e}"))
 }
 
-fn analyze_fixture(buf_size: usize) -> RunReport {
+fn analyze_fixture() -> RunReport {
     let stream = fixture("mm_tune.events.jsonl");
-    let opts = ReportOptions {
-        buf_size,
-        attribute: false,
-        ..Default::default()
-    };
-    analyze_stream(&stream, "mm_tune.events.jsonl", &opts).expect("fixture stream analyzes")
+    analyze_stream(&stream, "mm_tune.events.jsonl", &ReportOptions::default())
+        .expect("fixture stream analyzes")
 }
 
 /// The exact composition `eco report --out` writes to `report.txt`.
@@ -35,36 +32,22 @@ fn compose_txt(report: &RunReport) -> String {
 }
 
 #[test]
-fn report_bytes_are_identical_for_any_buffer_size() {
-    let baseline = analyze_fixture(64 * 1024);
-    let (ascii, csv, html) = (
-        render_profile_ascii(&baseline),
-        render_profile_csv(&baseline.profile),
-        render_html(std::slice::from_ref(&baseline)),
-    );
-    for buf_size in [1usize, 3, 17, 4096, 1 << 20] {
-        let report = analyze_fixture(buf_size);
+fn fixture_records_are_identical_for_any_read_chunk() {
+    let stream = fixture("mm_tune.events.jsonl");
+    let baseline = read_records(stream.as_bytes(), 64 * 1024).expect("fixture reads");
+    assert!(!baseline.is_empty());
+    for chunk in [1usize, 3, 17, 4096, 1 << 20] {
         assert_eq!(
-            render_profile_ascii(&report),
-            ascii,
-            "ascii @ buf {buf_size}"
-        );
-        assert_eq!(
-            render_profile_csv(&report.profile),
-            csv,
-            "csv @ buf {buf_size}"
-        );
-        assert_eq!(
-            render_html(std::slice::from_ref(&report)),
-            html,
-            "html @ buf {buf_size}"
+            read_records(stream.as_bytes(), chunk).expect("fixture reads"),
+            baseline,
+            "chunk {chunk}"
         );
     }
 }
 
 #[test]
 fn golden_fixture_renders_byte_identically() {
-    let report = analyze_fixture(64 * 1024);
+    let report = analyze_fixture();
     assert_eq!(compose_txt(&report), fixture("mm_tune.report.txt"));
     assert_eq!(
         render_profile_csv(&report.profile),
@@ -78,7 +61,7 @@ fn golden_fixture_renders_byte_identically() {
 
 #[test]
 fn fixture_profile_reconstructs_the_search() {
-    let report = analyze_fixture(64 * 1024);
+    let report = analyze_fixture();
     let p = &report.profile;
     assert_eq!(p.kernel, "mm");
     assert_eq!(p.search_n, 24);
