@@ -36,6 +36,7 @@ use eco_kernels::Kernel;
 use eco_machine::MachineDesc;
 use eco_transform::insert_prefetch;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Candidates per wave for the non-guided (grid/random) strategies: a
 /// fixed batch size, *not* the thread count, so search decisions are
@@ -467,10 +468,11 @@ struct PointEval<'a> {
     nest: &'a NestInfo,
     engine: &'a dyn Evaluator,
     sizes: Vec<i64>,
-    /// Point key -> generated program (`None` = generation infeasible).
-    /// Measurement results are *not* cached here — that is the engine's
-    /// memo cache's job, so repeated points surface as cache hits.
-    programs: HashMap<String, Option<Program>>,
+    /// Point key -> generated program (`None` = generation infeasible),
+    /// shared with the point's jobs. Measurement results are *not*
+    /// cached here — that is the engine's memo cache's job, so repeated
+    /// points surface as cache hits.
+    programs: HashMap<String, Option<Arc<Program>>>,
     points: usize,
     /// Points generated per stage label (for [`SearchStats::per_stage`]).
     per_stage: BTreeMap<String, usize>,
@@ -521,7 +523,7 @@ impl PointEval<'_> {
         variant: &Variant,
         params: &ParamValues,
         prefetches: &[(ArrayId, i64)],
-    ) -> Option<Program> {
+    ) -> Option<Arc<Program>> {
         let key = format!("{}|{params:?}|{prefetches:?}", variant.name);
         if let Some(hit) = self.programs.get(&key) {
             return hit.clone();
@@ -591,6 +593,7 @@ impl PointEval<'_> {
             self.points += 1;
             *self.per_stage.entry(self.stage.to_string()).or_insert(0) += 1;
         }
+        let program = program.map(Arc::new);
         self.programs.insert(key, program.clone());
         program
     }
@@ -607,9 +610,12 @@ impl PointEval<'_> {
                     let start = jobs.len();
                     for &n in &self.sizes {
                         jobs.push(
-                            EvalJob::new(program.clone(), Params::new().with(self.kernel.size, n))
-                                .with_label(format!("{}/{}", pt.variant.name, self.stage))
-                                .in_span(self.span),
+                            EvalJob::new(
+                                Arc::clone(&program),
+                                Params::new().with(self.kernel.size, n),
+                            )
+                            .with_label(format!("{}/{}", pt.variant.name, self.stage))
+                            .in_span(self.span),
                         );
                     }
                     spans.push(Some(start..jobs.len()));
@@ -979,11 +985,13 @@ impl Optimizer {
             prefetches.push((program.array(array).name.clone(), d));
         }
         let exec_params = Params::new().with(kernel.size, self.opts.search_n);
+        let program = Arc::new(program);
         let counters = engine.eval(
-            EvalJob::new(program.clone(), exec_params)
+            EvalJob::new(Arc::clone(&program), exec_params)
                 .with_label(format!("{}/final", variant.name))
                 .in_span(root),
         )?;
+        let program = Arc::unwrap_or_clone(program);
         Ok(Tuned {
             variant,
             params,

@@ -98,6 +98,7 @@ use crate::layout::{LayoutOptions, Params};
 use crate::plan::ExecutablePlan;
 use eco_cachesim::Counters;
 use eco_events::{names, Attrs, EventStream, Fnv64, Json, SpanId};
+use eco_ir::pretty::write_program;
 use eco_ir::Program;
 use eco_machine::MachineDesc;
 use eco_metrics::{Counter, Histogram, Registry};
@@ -107,8 +108,9 @@ use eco_store::{ResultStore, StoreKey};
 /// its measurement.
 #[derive(Debug, Clone)]
 pub struct EvalJob {
-    /// The program to simulate.
-    pub program: Program,
+    /// The program to simulate, shared: the jobs of one point (one per
+    /// problem size) and the caller's cache hold the same copy.
+    pub program: Arc<Program>,
     /// Parameter bindings (problem size, etc.).
     pub params: Params,
     /// Array placement options.
@@ -130,9 +132,9 @@ pub struct EvalJob {
 
 impl EvalJob {
     /// A job with the default layout and an empty label.
-    pub fn new(program: Program, params: Params) -> Self {
+    pub fn new(program: impl Into<Arc<Program>>, params: Params) -> Self {
         EvalJob {
-            program,
+            program: program.into(),
             params,
             layout: LayoutOptions::default(),
             label: String::new(),
@@ -685,12 +687,13 @@ impl Engine {
 /// The content fingerprint of a program: FNV-1a over its name and full
 /// pretty-printed text. This is the program component of [`EvalKey`],
 /// the plan-memoization key, and the `program_fingerprint` field of run
-/// manifests.
+/// manifests. The printer writes straight into the hasher, so no text
+/// is built.
 pub fn program_fingerprint(program: &Program) -> u64 {
     let mut h = Fnv64::new();
     h.write(program.name.as_bytes());
     h.write(&[0]);
-    h.write(program.to_string().as_bytes());
+    write_program(&mut h, program).expect("hashing cannot fail");
     h.finish()
 }
 

@@ -48,11 +48,9 @@ pub fn scalar_replace(
     innermost: VarId,
     register_limit: Option<usize>,
 ) -> Result<Program, TransformError> {
-    let mut out = program.clone();
-    let l = out
+    let l = program
         .find_loop(innermost)
-        .ok_or_else(|| TransformError::LoopNotFound(program.var(innermost).name.clone()))?
-        .clone();
+        .ok_or_else(|| TransformError::LoopNotFound(program.var(innermost).name.clone()))?;
     let mut has_inner = false;
     for s in &l.body {
         s.for_each_stmt(&mut |st| has_inner |= matches!(st, Stmt::For(_)));
@@ -68,32 +66,17 @@ pub fn scalar_replace(
     collect(&l.body, &mut Vec::new(), &mut occs);
 
     // ---- plan invariant replacements ----
-    struct Invariant {
-        guards: Vec<Cond>,
-        r: ArrayRef,
-        temp: TempId,
-        writes: bool,
-    }
-    let mut invariants: Vec<Invariant> = Vec::new();
-    for o in &occs {
-        if o.ambiguous || o.r.uses(innermost) {
-            continue;
-        }
-        if o.guards
-            .iter()
-            .any(|c| c.lhs.uses(innermost) || c.rhs.uses(innermost))
-        {
-            continue;
-        }
-        let name = format!("r{}", out.array(o.r.array).name.to_lowercase());
-        let temp = out.add_temp(&name);
-        invariants.push(Invariant {
-            guards: o.guards.clone(),
-            r: o.r.clone(),
-            temp,
-            writes: o.writes > 0,
-        });
-    }
+    let invariant_occs: Vec<&Occ> = occs
+        .iter()
+        .filter(|o| {
+            !o.ambiguous
+                && !o.r.uses(innermost)
+                && !o
+                    .guards
+                    .iter()
+                    .any(|c| c.lhs.uses(innermost) || c.rhs.uses(innermost))
+        })
+        .collect();
 
     // ---- plan rotating replacements ----
     struct Ring {
@@ -124,7 +107,7 @@ pub fn scalar_replace(
             let d = dims[0];
             let c = o.r.idx[d].constant_part();
             let mut base = o.r.clone();
-            base.idx[d] = base.idx[d].clone().shifted(-c);
+            base.idx[d] = base.idx[d].shifted(-c);
             if let Some(ring) = rings
                 .iter_mut()
                 .find(|g| g.dim == d && g.base == base && g.guards == o.guards)
@@ -146,22 +129,21 @@ pub fn scalar_replace(
     // Keep only rings with real cross-iteration sharing.
     rings.retain(|g| g.members.len() > 1);
     // Rotating requires an affine lower bound for the preload addresses.
-    let lo_affine = l.lo.as_affine().cloned();
+    let lo_affine = l.lo.as_affine();
     if lo_affine.is_none() {
         rings.clear();
     }
     for g in &mut rings {
         g.cmin = g.members.iter().map(|&(c, _)| c).min().expect("nonempty");
         g.cmax = g.members.iter().map(|&(c, _)| c).max().expect("nonempty");
-        let arr = out.array(g.base.array).name.to_lowercase();
-        for off in g.cmin..=g.cmax {
-            let t = out.add_temp(&format!("s{arr}{}", off - g.cmin));
-            g.temps.push(t);
-        }
     }
 
     // ---- register pressure ----
-    let needed: usize = invariants.len() + rings.iter().map(|g| g.temps.len()).sum::<usize>();
+    let needed: usize = invariant_occs.len()
+        + rings
+            .iter()
+            .map(|g| (g.cmax - g.cmin + 1) as usize)
+            .sum::<usize>();
     if let Some(limit) = register_limit {
         if needed > limit {
             return Err(TransformError::RegisterPressure {
@@ -170,8 +152,30 @@ pub fn scalar_replace(
             });
         }
     }
-    if invariants.is_empty() && rings.is_empty() {
-        return Ok(out); // nothing to do
+    if invariant_occs.is_empty() && rings.is_empty() {
+        return Ok(program.clone()); // nothing to do
+    }
+
+    // ---- allocate the temporaries ----
+    let mut out = program.clone();
+    struct Invariant<'o> {
+        occ: &'o Occ,
+        temp: TempId,
+    }
+    let invariants: Vec<Invariant> = invariant_occs
+        .into_iter()
+        .map(|occ| {
+            let name = format!("r{}", out.array(occ.r.array).name.to_lowercase());
+            let temp = out.add_temp(&name);
+            Invariant { occ, temp }
+        })
+        .collect();
+    for g in &mut rings {
+        let arr = out.array(g.base.array).name.to_lowercase();
+        for off in g.cmin..=g.cmax {
+            let t = out.add_temp(&format!("s{arr}{}", off - g.cmin));
+            g.temps.push(t);
+        }
     }
 
     // ---- rewrite the loop body ----
@@ -182,7 +186,7 @@ pub fn scalar_replace(
     };
     let mut replace_load = |r: &ArrayRef| -> Option<ScalarExpr> {
         for inv in &invariants {
-            if &inv.r == r {
+            if &inv.occ.r == r {
                 return Some(ScalarExpr::Temp(inv.temp));
             }
         }
@@ -199,7 +203,7 @@ pub fn scalar_replace(
     rewrite_stmts(&mut new_body, &mut |s| match s {
         Stmt::Store { target, value } => {
             value.map_loads(&mut replace_load);
-            if let Some(inv) = invariants.iter().find(|inv| inv.r == *target) {
+            if let Some(inv) = invariants.iter().find(|inv| inv.occ.r == *target) {
                 let mut v = ScalarExpr::Const(0.0);
                 std::mem::swap(&mut v, value);
                 *s = Stmt::SetTemp {
@@ -235,23 +239,25 @@ pub fn scalar_replace(
     let mut post: Vec<Stmt> = Vec::new();
     for inv in &invariants {
         pre.push(guard(
-            &inv.guards,
+            &inv.occ.guards,
             vec![Stmt::SetTemp {
                 temp: inv.temp,
-                value: ScalarExpr::Load(inv.r.clone()),
+                value: ScalarExpr::Load(inv.occ.r.clone()),
             }],
         ));
-        if inv.writes {
+        if inv.occ.writes > 0 {
             post.push(guard(
-                &inv.guards,
+                &inv.occ.guards,
                 vec![Stmt::Store {
-                    target: inv.r.clone(),
+                    target: inv.occ.r.clone(),
                     value: ScalarExpr::Temp(inv.temp),
                 }],
             ));
         }
     }
-    let lo = lo_affine.unwrap_or_else(|| AffineExpr::constant(0));
+    let lo = lo_affine
+        .cloned()
+        .unwrap_or_else(|| AffineExpr::constant(0));
     for g in &rings {
         let mut loads = Vec::new();
         for off in g.cmin..g.cmax {
@@ -285,7 +291,7 @@ pub fn scalar_replace(
         body: new_body,
     }));
     replacement.extend(post);
-    let replaced = splice_loop(&mut out.body, innermost, replacement);
+    let replaced = splice_loop(&mut out.body, innermost, &mut Some(replacement));
     debug_assert!(replaced);
     Ok(out)
 }
@@ -384,20 +390,20 @@ fn insert_in_context(stmts: &mut Vec<Stmt>, guards: &[Cond], first: Stmt, last: 
 /// Replaces the loop binding `target` with `replacement` statements.
 // clippy suggests match guards here, but guards cannot borrow mutably
 #[allow(clippy::collapsible_match)]
-fn splice_loop(stmts: &mut Vec<Stmt>, target: VarId, replacement: Vec<Stmt>) -> bool {
+fn splice_loop(stmts: &mut Vec<Stmt>, target: VarId, replacement: &mut Option<Vec<Stmt>>) -> bool {
     for i in 0..stmts.len() {
         match &mut stmts[i] {
             Stmt::For(l) if l.var == target => {
-                stmts.splice(i..=i, replacement);
+                stmts.splice(i..=i, replacement.take().expect("spliced once"));
                 return true;
             }
             Stmt::For(l) => {
-                if splice_loop(&mut l.body, target, replacement.clone()) {
+                if splice_loop(&mut l.body, target, replacement) {
                     return true;
                 }
             }
             Stmt::If { then, .. } => {
-                if splice_loop(then, target, replacement.clone()) {
+                if splice_loop(then, target, replacement) {
                     return true;
                 }
             }

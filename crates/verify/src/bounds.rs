@@ -16,47 +16,55 @@
 
 use crate::{DiagCode, Sink};
 use eco_ir::pretty::{affine_to_string, bound_to_string, ref_to_string};
-use eco_ir::{AffineExpr, ArrayRef, Bound, Cond, Program, Stmt, VarId};
+use eco_ir::{AffineExpr, ArrayRef, Bound, Cond, Loop, Program, Stmt, VarId};
 
-/// One entry of the loop context enclosing a statement.
-#[derive(Debug, Clone)]
-pub enum Ctx {
+/// One entry of the loop context enclosing a statement, borrowed from
+/// the program: a context is copied by value wherever a pass keeps one.
+#[derive(Debug, Clone, Copy)]
+pub enum Ctx<'p> {
     /// An enclosing counted loop.
     Loop {
         /// Loop variable.
         var: VarId,
         /// Lower bound.
-        lo: Bound,
+        lo: &'p Bound,
         /// Upper bound (inclusive; `min` clamps for tile edges).
-        hi: Bound,
+        hi: &'p Bound,
         /// Step.
         step: i64,
     },
     /// An enclosing guard `lhs <= rhs` (unroll residue cleanup).
-    Guard(Cond),
+    Guard(&'p Cond),
+}
+
+impl<'p> Ctx<'p> {
+    /// The context a `For` loop opens for its body.
+    pub(crate) fn of_loop(l: &'p Loop) -> Self {
+        Ctx::Loop {
+            var: l.var,
+            lo: &l.lo,
+            hi: &l.hi,
+            step: l.step,
+        }
+    }
 }
 
 /// Walks every statement with its enclosing context, pre-order.
 pub(crate) fn walk_ctx<'p>(
     stmts: &'p [Stmt],
-    ctx: &mut Vec<Ctx>,
-    f: &mut impl FnMut(&'p Stmt, &[Ctx]),
+    ctx: &mut Vec<Ctx<'p>>,
+    f: &mut impl FnMut(&'p Stmt, &[Ctx<'p>]),
 ) {
     for s in stmts {
         f(s, ctx);
         match s {
             Stmt::For(l) => {
-                ctx.push(Ctx::Loop {
-                    var: l.var,
-                    lo: l.lo.clone(),
-                    hi: l.hi.clone(),
-                    step: l.step,
-                });
+                ctx.push(Ctx::of_loop(l));
                 walk_ctx(&l.body, ctx, f);
                 ctx.pop();
             }
             Stmt::If { cond, then } => {
-                ctx.push(Ctx::Guard(cond.clone()));
+                ctx.push(Ctx::Guard(cond));
                 walk_ctx(then, ctx, f);
                 ctx.pop();
             }
@@ -68,15 +76,15 @@ pub(crate) fn walk_ctx<'p>(
 /// Renders the context as indented source-style lines, outermost first.
 pub(crate) fn render_ctx(p: &Program, ctx: &[Ctx]) -> Vec<String> {
     ctx.iter()
-        .map(|c| match c {
+        .map(|c| match *c {
             Ctx::Loop { var, lo, hi, step } => {
                 let mut line = format!(
                     "DO {} = {}, {}",
-                    p.var(*var).name,
+                    p.var(var).name,
                     bound_to_string(p, lo),
                     bound_to_string(p, hi)
                 );
-                if *step != 1 {
+                if step != 1 {
                     line.push_str(&format!(", {step}"));
                 }
                 line
@@ -112,9 +120,11 @@ pub(crate) fn extreme(
     env: &impl Fn(VarId) -> Option<i64>,
     want_max: bool,
 ) -> Option<i64> {
+    // A set: kept sorted and duplicate-free, so `MAX_ALTS` counts
+    // distinct alternatives.
     let mut alts = vec![e.clone()];
     for entry in ctx.iter().rev() {
-        match entry {
+        match *entry {
             Ctx::Guard(cond) if want_max => {
                 // lhs <= rhs with a unit coefficient on v bounds v above
                 // by rhs - (lhs - v): substitute it in as an extra upper
@@ -130,21 +140,22 @@ pub(crate) fn extreme(
                         }
                     }
                 }
-                for a in extra {
-                    if !alts.contains(&a) {
-                        alts.push(a);
-                    }
+                if extra.is_empty() {
+                    continue;
                 }
+                alts.extend(extra);
+                dedupe(&mut alts);
             }
             Ctx::Guard(_) => {}
             Ctx::Loop { var, lo, hi, .. } => {
-                let mut next: Vec<AffineExpr> = Vec::new();
-                for alt in &alts {
-                    let c = alt.coeff(*var);
+                if alts.iter().all(|alt| !alt.uses(var)) {
+                    continue;
+                }
+                let mut next: Vec<AffineExpr> = Vec::with_capacity(alts.len());
+                for alt in alts {
+                    let c = alt.coeff(var);
                     if c == 0 {
-                        if !next.contains(alt) {
-                            next.push(alt.clone());
-                        }
+                        next.push(alt);
                         continue;
                     }
                     // Positive coefficient maximized at the upper bound;
@@ -153,12 +164,10 @@ pub(crate) fn extreme(
                     // dually for the other three sign/direction cases.
                     let b = if (c > 0) == want_max { hi } else { lo };
                     for repl in b.alternatives() {
-                        let s = alt.subst(*var, repl);
-                        if !next.contains(&s) {
-                            next.push(s);
-                        }
+                        next.push(alt.subst(var, repl));
                     }
                 }
+                dedupe(&mut next);
                 alts = next;
             }
         }
@@ -173,6 +182,12 @@ pub(crate) fn extreme(
     } else {
         vals.into_iter().max()
     }
+}
+
+/// Sorts `alts` and drops duplicates.
+fn dedupe(alts: &mut Vec<AffineExpr>) {
+    alts.sort_unstable();
+    alts.dedup();
 }
 
 /// The provable `[lo, hi]` interval of `e` (None if unresolvable).

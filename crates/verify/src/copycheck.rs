@@ -23,11 +23,11 @@ use eco_ir::{ArrayKind, ArrayRef, Program, ScalarExpr, Stmt};
 #[derive(Default)]
 struct BufferUse<'p> {
     /// Fill targets: `P[..] = Load origin[..]`.
-    fills: Vec<(&'p ArrayRef, Vec<Ctx>)>,
+    fills: Vec<(&'p ArrayRef, Vec<Ctx<'p>>)>,
     /// Loads of the buffer (compute reads and write-back reads).
-    reads: Vec<(&'p ArrayRef, Vec<Ctx>)>,
+    reads: Vec<(&'p ArrayRef, Vec<Ctx<'p>>)>,
     /// Stores to the buffer that are not fills (computed-into).
-    computed: Vec<(&'p ArrayRef, Vec<Ctx>)>,
+    computed: Vec<(&'p ArrayRef, Vec<Ctx<'p>>)>,
     /// True if some data array receives `= Load P[..]`.
     written_back: bool,
 }

@@ -198,15 +198,7 @@ pub(crate) fn check(original: &Program, transformed: &Program, sink: &mut Sink) 
     }
 
     let spine = spine_of(transformed);
-    let spine_ctx: Vec<Ctx> = spine
-        .iter()
-        .map(|l| Ctx::Loop {
-            var: l.var,
-            lo: l.lo.clone(),
-            hi: l.hi.clone(),
-            step: l.step,
-        })
-        .collect();
+    let spine_ctx: Vec<Ctx> = spine.iter().map(|l| Ctx::of_loop(l)).collect();
     let context = render_ctx(transformed, &spine_ctx);
 
     let orig_names: Vec<&str> = nest

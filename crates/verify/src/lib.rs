@@ -283,7 +283,7 @@ pub fn certify(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eco_ir::{AffineExpr, ArrayRef, Loop, Program, ScalarExpr, Stmt};
+    use eco_ir::{AffineExpr, ArrayRef, Loop, Program, ScalarExpr, Stmt, TempId};
     use eco_kernels::Kernel;
     use eco_transform::{
         copy_in, insert_prefetch, scalar_replace, tile_nest, unroll_and_jam, CopyDim, CopySpec,
@@ -554,6 +554,36 @@ mod tests {
             "{}",
             cert.render()
         );
+    }
+
+    /// Validation checks only the temporaries a program writes; a read
+    /// of an undeclared one must not make the certifier panic.
+    #[test]
+    fn undeclared_temporary_read_does_not_panic() {
+        let mut p = Program::new("stray");
+        let n = p.add_param("N");
+        let i = p.add_loop_var("I");
+        let a = p.add_array("A", vec![AffineExpr::var(n)]);
+        let t0 = p.add_temp("t0");
+        let at = || ArrayRef::new(a, vec![AffineExpr::var(i)]);
+        p.body.push(Stmt::For(Loop {
+            var: i,
+            lo: 0.into(),
+            hi: (AffineExpr::var(n) - AffineExpr::constant(1)).into(),
+            step: 1,
+            body: vec![
+                Stmt::SetTemp {
+                    temp: t0,
+                    value: ScalarExpr::Load(at()),
+                },
+                Stmt::Store {
+                    target: at(),
+                    value: ScalarExpr::add(ScalarExpr::Temp(t0), ScalarExpr::Temp(TempId(7))),
+                },
+            ],
+        }));
+        let cert = certify(&p, &p, &bind(8));
+        assert!(cert.ok(), "{}", cert.render());
     }
 
     /// A trivially analyzable original for the copy-corruption tests.

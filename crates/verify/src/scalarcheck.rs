@@ -23,6 +23,7 @@ use crate::bounds::{interval, param_env, render_ctx, Ctx};
 use crate::{DiagCode, Sink};
 use eco_ir::pretty::ref_to_string;
 use eco_ir::{ArrayRef, Program, ScalarExpr, Stmt, TempId, VarId};
+use std::rc::Rc;
 
 /// Collects the array loads of an expression, keeping their addresses
 /// alive with the program (`for_each_load` can't return borrows).
@@ -37,30 +38,19 @@ fn loads_of<'p>(e: &'p ScalarExpr, out: &mut Vec<&'p ArrayRef>) {
     }
 }
 
-fn contains_temp(e: &ScalarExpr, t: TempId) -> bool {
-    match e {
-        ScalarExpr::Const(_) | ScalarExpr::Load(_) => false,
-        ScalarExpr::Temp(u) => *u == t,
-        ScalarExpr::Add(a, b) | ScalarExpr::Sub(a, b) | ScalarExpr::Mul(a, b) => {
-            contains_temp(a, t) || contains_temp(b, t)
-        }
-    }
-}
-
 /// A statement with its tree position and enclosing loop context.
 struct Site<'p> {
     stmt: &'p Stmt,
     path: Vec<usize>,
-    ctx: Vec<Ctx>,
+    /// Shared by every statement of the same list.
+    ctx: Rc<[Ctx<'p>]>,
 }
 
 fn collect<'p>(p: &'p Program) -> Vec<Site<'p>> {
-    let mut sites = Vec::new();
-    let mut path: Vec<usize> = Vec::new();
     fn go<'p>(
         stmts: &'p [Stmt],
         path: &mut Vec<usize>,
-        ctx: &mut Vec<Ctx>,
+        ctx: &Rc<[Ctx<'p>]>,
         out: &mut Vec<Site<'p>>,
     ) {
         for (i, s) in stmts.iter().enumerate() {
@@ -68,32 +58,40 @@ fn collect<'p>(p: &'p Program) -> Vec<Site<'p>> {
             out.push(Site {
                 stmt: s,
                 path: path.clone(),
-                ctx: ctx.clone(),
+                ctx: Rc::clone(ctx),
             });
-            match s {
-                Stmt::For(l) => {
-                    ctx.push(Ctx::Loop {
-                        var: l.var,
-                        lo: l.lo.clone(),
-                        hi: l.hi.clone(),
-                        step: l.step,
-                    });
-                    go(&l.body, path, ctx, out);
-                    ctx.pop();
+            let (inner, body) = match s {
+                Stmt::For(l) => (Ctx::of_loop(l), &l.body),
+                Stmt::If { cond, then } => (Ctx::Guard(cond), then),
+                _ => {
+                    path.pop();
+                    continue;
                 }
-                Stmt::If { cond, then } => {
-                    ctx.push(Ctx::Guard(cond.clone()));
-                    go(then, path, ctx, out);
-                    ctx.pop();
-                }
-                _ => {}
-            }
+            };
+            let nested: Rc<[Ctx<'p>]> = ctx.iter().copied().chain([inner]).collect();
+            go(body, path, &nested, out);
             path.pop();
         }
     }
-    let mut ctx = Vec::new();
-    go(&p.body, &mut path, &mut ctx, &mut sites);
+    let mut sites = Vec::new();
+    go(&p.body, &mut Vec::new(), &Rc::from([]), &mut sites);
     sites
+}
+
+/// Every temporary a scalar expression reads, in first-read order.
+fn temps_of(e: &ScalarExpr, out: &mut Vec<TempId>) {
+    match e {
+        ScalarExpr::Const(_) | ScalarExpr::Load(_) => {}
+        ScalarExpr::Temp(t) => {
+            if !out.contains(t) {
+                out.push(*t);
+            }
+        }
+        ScalarExpr::Add(a, b) | ScalarExpr::Sub(a, b) | ScalarExpr::Mul(a, b) => {
+            temps_of(a, out);
+            temps_of(b, out);
+        }
+    }
 }
 
 /// Do the two references' value sets provably overlap (or fail to be
@@ -124,31 +122,40 @@ pub(crate) fn check(p: &Program, binding: &[(String, i64)], sink: &mut Sink) {
     let env = param_env(p, binding);
     let sites = collect(p);
 
-    for ti in 0..p.temps.len() {
-        let t = TempId(ti as u32);
-        let mut involved: Vec<usize> = Vec::new();
-        let mut defs: Vec<usize> = Vec::new();
-        for (i, site) in sites.iter().enumerate() {
-            match site.stmt {
-                Stmt::SetTemp { temp, value } => {
-                    if *temp == t || contains_temp(value, t) {
-                        involved.push(i);
-                    }
-                    if *temp == t {
-                        defs.push(i);
-                    }
-                }
-                Stmt::Store { value, .. } if contains_temp(value, t) => involved.push(i),
-                _ => {}
+    // Per temporary: the sites defining it, and the sites involved in
+    // its def/use web (defining or reading it), each in site order.
+    let mut defs: Vec<Vec<usize>> = vec![Vec::new(); p.temps.len()];
+    let mut involved: Vec<Vec<usize>> = vec![Vec::new(); p.temps.len()];
+    let mut temps = Vec::new();
+    for (i, site) in sites.iter().enumerate() {
+        temps.clear();
+        match site.stmt {
+            Stmt::SetTemp { temp, value } => {
+                defs[temp.index()].push(i);
+                temps.push(*temp);
+                temps_of(value, &mut temps);
+            }
+            Stmt::Store { value, .. } => temps_of(value, &mut temps),
+            _ => {}
+        }
+        // A read of an undeclared temporary joins no web (validation
+        // checks only the temporaries that are written).
+        for t in &temps {
+            if let Some(web) = involved.get_mut(t.index()) {
+                web.push(i);
             }
         }
+    }
+
+    for ti in 0..p.temps.len() {
+        let (defs, involved) = (&defs[ti], &involved[ti]);
         if defs.is_empty() || involved.len() < 2 {
             continue;
         }
 
         // Elements the temporary caches: loads inside its definitions.
         let mut cached: Vec<(&ArrayRef, &[Ctx])> = Vec::new();
-        for &d in &defs {
+        for &d in defs {
             if let Stmt::SetTemp { value, .. } = sites[d].stmt {
                 let mut loads = Vec::new();
                 loads_of(value, &mut loads);
@@ -183,20 +190,28 @@ pub(crate) fn check(p: &Program, binding: &[(String, i64)], sink: &mut Sink) {
             )
         };
 
-        for (i, site) in sites.iter().enumerate() {
-            if involved.contains(&i) {
+        // The span's sites are contiguous in pre-order and contain the
+        // first and last involved sites: widen from those.
+        let in_span = |site: &Site| {
+            site.path.len() > depth
+                && site.path[..depth] == *prefix
+                && (range.0..=range.1).contains(&site.path[depth])
+        };
+        let mut first = involved[0];
+        while first > 0 && in_span(&sites[first - 1]) {
+            first -= 1;
+        }
+        let mut last = involved[involved.len() - 1];
+        while last + 1 < sites.len() && in_span(&sites[last + 1]) {
+            last += 1;
+        }
+        for (i, site) in sites.iter().enumerate().take(last + 1).skip(first) {
+            if involved.binary_search(&i).is_ok() {
                 continue;
             }
             let Stmt::Store { target, value } = site.stmt else {
                 continue;
             };
-            if site.path.len() <= depth
-                || site.path[..depth] != *prefix
-                || site.path[depth] < range.0
-                || site.path[depth] > range.1
-            {
-                continue;
-            }
             // `X[..] = t'` is scalar replacement's own write-back shape
             // for a sibling register: exempt from aliasing (the
             // double-write-back check below catches corrupt overlaps).

@@ -306,3 +306,91 @@ fn reversed_interchange_is_flagged_e003() {
     );
     assert!(cert.render().contains("ECO-E003"), "{}", cert.render());
 }
+
+/// The generated-program corpus, pinned: every kernel's derived
+/// variants at their screening parameters (the search's unroll backoff
+/// included), plus one prefetch insertion per kernel data array at a
+/// near and a hopeless distance. The printed text, the program
+/// fingerprint and every certificate (codes, messages, contexts and
+/// counts at two sizes) fold into one FNV value, so a change to the
+/// transforms, the printer, the fingerprint or the certifier's output
+/// fails here, not only in the golden-results job.
+#[test]
+fn generated_corpus_is_pinned() {
+    use eco_core::events::Fnv64;
+    use eco_core::Optimizer;
+    use eco_exec::program_fingerprint;
+    use eco_ir::pretty::program_to_string;
+    use std::hash::Hasher;
+
+    let machine = MachineDesc::sgi_r10000().scaled(32);
+    let opt = Optimizer::new(machine.clone());
+    let mut h = Fnv64::new();
+    let mut programs = 0usize;
+    let mut diagnostics = 0usize;
+    let mut fold = |kernel: &Kernel, p: &Program| {
+        programs += 1;
+        h.write(program_to_string(p).as_bytes());
+        h.write_u64(program_fingerprint(p));
+        let size = kernel.program.var(kernel.size).name.clone();
+        for n in [9, 40] {
+            let cert = certify(&kernel.program, p, &[(size.clone(), n)]);
+            h.write_usize(cert.checked_refs);
+            h.write_usize(cert.checked_deps);
+            for d in &cert.diagnostics {
+                diagnostics += 1;
+                h.write(d.code.as_str().as_bytes());
+                h.write(d.message.as_bytes());
+                for line in &d.context {
+                    h.write(line.as_bytes());
+                }
+            }
+        }
+    };
+    for kernel in Kernel::all() {
+        let nest = NestInfo::from_program(&kernel.program).expect("analyzable");
+        for v in derive_variants(&nest, &machine, &kernel.program) {
+            let mut params = opt.initial_params(&v);
+            let program = loop {
+                match generate(&kernel, &nest, &v, &params, &machine) {
+                    Ok(p) => break Some(p),
+                    Err(_) => {
+                        let Some((nm, val)) = params
+                            .iter()
+                            .filter(|(nm, _)| nm.starts_with('U'))
+                            .max_by_key(|&(_, val)| *val)
+                            .map(|(nm, &val)| (nm.clone(), val))
+                        else {
+                            break None;
+                        };
+                        if val < 2 {
+                            break None;
+                        }
+                        params.insert(nm, val / 2);
+                    }
+                }
+            };
+            let Some(program) = program else { continue };
+            fold(&kernel, &program);
+            for a in 0..kernel.program.arrays.len() {
+                for dist in [3, 4096] {
+                    let array = eco_ir::ArrayId(a as u32);
+                    if let Ok(pf) = insert_prefetch(&program, v.register_carrier(), array, dist) {
+                        fold(&kernel, &pf);
+                    }
+                }
+            }
+        }
+    }
+    let got = h.finish();
+    assert!(programs > 100, "only {programs} programs in the corpus");
+    assert!(
+        diagnostics > 0,
+        "no certificate in the corpus has a finding"
+    );
+    assert_eq!(
+        got, 0x79df_5bea_d957_9514,
+        "the corpus of {programs} programs hashes to {got:#018x}: printed text, \
+         fingerprints or certificates changed"
+    );
+}
