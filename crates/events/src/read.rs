@@ -17,7 +17,7 @@
 //!   stream; the buffer size only affects I/O chunking, never the
 //!   parse, which the report determinism tests rely on.
 
-use crate::{json_escape, Json};
+use crate::{escape_into, Json};
 use std::fmt::Write as _;
 use std::io::{self, Read};
 
@@ -299,7 +299,7 @@ impl Json {
             }
             Json::Str(s) => {
                 out.push('"');
-                out.push_str(&json_escape(s));
+                escape_into(out, s);
                 out.push('"');
             }
             Json::Arr(items) => {
@@ -319,7 +319,7 @@ impl Json {
                         out.push(',');
                     }
                     out.push('"');
-                    out.push_str(&json_escape(k));
+                    escape_into(out, k);
                     out.push_str("\":");
                     v.compact_into(out);
                 }

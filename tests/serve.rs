@@ -463,3 +463,42 @@ fn oversize_request_line_gets_an_error_and_a_hangup() {
     handle.join().expect("server thread");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A long-lived daemon joins the threads of ended connections on each
+/// accept, so it holds one handle per live connection rather than one
+/// per connection it ever served.
+#[test]
+fn ended_connection_threads_are_joined() {
+    use eco_metrics::parse_exposition;
+    let dir = scratch("reap");
+    let (socket, handle) = start_server(&dir, EngineConfig::new());
+    let ping = Json::obj().field("op", Json::str("ping"));
+    for _ in 0..20 {
+        let pong = serve::request(&socket, &ping).expect("ping");
+        assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
+    }
+    // Each scrape is itself an accept; a thread whose client has gone
+    // may take a moment to notice the hangup, so poll briefly.
+    let metrics = Json::obj().field("op", Json::str("metrics"));
+    let mut held = f64::INFINITY;
+    for _ in 0..200 {
+        let scraped = serve::request(&socket, &metrics).expect("metrics");
+        let text = scraped.get("metrics").and_then(Json::as_str).expect("text");
+        let exp = parse_exposition(text).expect("exposition parses");
+        held = exp
+            .value("eco_serve_connection_threads", &[])
+            .expect("thread gauge");
+        if held <= 2.0 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert!(
+        held <= 2.0,
+        "{held} connection threads held after 20 closed"
+    );
+
+    shutdown(&socket);
+    handle.join().expect("server thread");
+    let _ = std::fs::remove_dir_all(&dir);
+}
