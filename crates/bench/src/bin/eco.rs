@@ -11,7 +11,6 @@
 //!                                     interleavings, fail on ECO-S diagnostics
 //! eco measure <kernel> [opts]         simulate the untransformed kernel
 //! eco report --events PATH [opts]     analyze an event stream (see below)
-//! eco report --compare OLD NEW        benchmark-trajectory regression gate
 //! eco serve [opts]                    autotuning daemon on a Unix socket
 //! eco client <op> [opts]              one request against a running daemon
 //! eco top [--socket S] [--once]       live metrics dashboard for a daemon
@@ -71,10 +70,6 @@
 //!                        from the stream's engine_init fingerprint)
 //!   --threads N          re-measurement threads for attribution
 //!   --no-attribution     skip the attributed re-measurement pass
-//!   --compare OLD NEW    compare two trajectory JSON files instead
-//!   --threshold PCT      allowed regression in percent (default 25)
-//!                        (with --compare, --out FILE writes the comparison
-//!                        as a standalone HTML page — the CI artifact)
 //!
 //! `tune` and `measure` run on the parallel memoized evaluation engine;
 //! `tune` reports the engine's work alongside the search statistics.
@@ -112,8 +107,7 @@ const COMMANDS: &[Command] = &[
     Command::new("lint", "<kernel>", &[MACHINE, &["--n N"]], lint),
     Command::new("measure", "<kernel>", &[MACHINE, ENGINE, &["--n N"]], measure),
     Command::new("report", "", &[
-        &["--events PATH", MANIFEST, "--out DIR|FILE"], MACHINE,
-        &[THREADS, "--no-attribution", "--compare OLD NEW", "--threshold PCT"],
+        &["--events PATH", MANIFEST, "--out DIR"], MACHINE, &[THREADS, "--no-attribution"],
     ], report_cmd),
     Command::new("serve", "", &[SOCKET, ENGINE, &["--log-level L", "--slow-ms N"]], serve_cmd),
     Command::new("client ping", "", &[SOCKET], client_op),
@@ -562,48 +556,12 @@ fn stream_files(path: &str) -> Result<Vec<std::path::PathBuf>, String> {
 }
 
 fn report_cmd(a: &Args) -> Result<(), String> {
-    let threshold = a.num("--threshold", 25.0f64)?;
-    // A NaN threshold would make every regression comparison false and
-    // pass the gate unconditionally.
-    if !threshold.is_finite() || threshold < 0.0 {
-        return Err(format!(
-            "bad --threshold: {threshold} (a finite, non-negative percentage)"
-        ));
-    }
     if a.has("--scale") && !a.has("--machine") {
         return Err("--scale needs --machine".to_string());
     }
     let machine = a.has("--machine").then(|| cli::machine(a)).transpose()?;
     let threads = a.num("--threads", 0)?;
-
-    if let Some([old_path, new_path]) = a.values("--compare") {
-        let old = Json::parse(
-            &std::fs::read_to_string(old_path)
-                .map_err(|e| format!("cannot read {old_path}: {e}"))?,
-        )
-        .map_err(|e| format!("{old_path}: {e}"))?;
-        let new = Json::parse(
-            &std::fs::read_to_string(new_path)
-                .map_err(|e| format!("cannot read {new_path}: {e}"))?,
-        )
-        .map_err(|e| format!("{new_path}: {e}"))?;
-        let cmp = eco_report::compare_trajectories(&old, &new, threshold);
-        print!("{}", eco_report::render_comparison(&cmp));
-        if let Some(out) = a.get("--out") {
-            // The HTML page is written before the pass/fail exit so CI
-            // can upload it as an artifact even when the gate fails.
-            std::fs::write(out, eco_report::render_comparison_html(&cmp))
-                .map_err(|e| format!("cannot write {out}: {e}"))?;
-        }
-        if !cmp.passed() {
-            std::process::exit(1);
-        }
-        return Ok(());
-    }
-
-    let events = a
-        .get("--events")
-        .ok_or("report needs --events PATH or --compare OLD NEW")?;
+    let events = a.get("--events").ok_or("report needs --events PATH")?;
     let mut opts = eco_report::ReportOptions {
         attribute: !a.has("--no-attribution"),
         ..Default::default()

@@ -17,11 +17,6 @@
 //! repro strategies   Ablation: guided vs grid vs random search
 //! repro attribution  Analysis: per-array miss attribution (mm1 vs mm4)
 //! repro modelrank    Analysis: static-model ranking vs measured ranking
-//! repro smoke        Timing smoke test: prints evaluated-points/sec
-//! repro bench        Benchmark trajectory: smoke throughput plus wall
-//!                    time, points/sec and manifest fingerprint per
-//!                    figure, as JSON (`--bench-out FILE`); compare two
-//!                    trajectories with `eco report --compare`
 //! repro plan FIG     Print the figure's deterministic shard plan
 //!                    (`--plan-out FILE` writes it instead)
 //! repro shard --shard FILE
@@ -57,7 +52,7 @@
 //!   --events DIR     write a structured event stream per command to DIR
 //!                    (not `sweep`: its workers always write theirs
 //!                    under the sweep directory's events/)
-//!   --workers N      figures/all/check/sweep/bench: shard the figure
+//!   --workers N      figures/all/check/sweep: shard the figure
 //!                    across N parallel worker processes (1 = serial)
 //!   --shard-sizes K  measure sizes per shard in the plan (default 4)
 //!   --sweep-dir DIR  figures/all/sweep: root for sweep artifacts
@@ -65,20 +60,15 @@
 //!   --remote SOCKET  figures/all/check/sweep: execute shards on an
 //!                    eco serve daemon instead of spawning local workers
 //!   --plan-out FILE  plan only: write the plan JSON to FILE
-//!   --sweep FIG      bench only: also record sweep wall time at
-//!                    --workers 1 vs N (default 4) in the trajectory
 //!   --figure-scale K sweep only: machine scale factor (default 32, the
 //!                    golden scale; 1 = the full-size machine — the
 //!                    nightly CI budget run, never diffed vs results/)
-//!   --json FILE      smoke only: also write the throughput as JSON
-//!   --bench-out FILE bench only: write the trajectory JSON to FILE
-//!   --smoke-only     bench only: skip the per-figure measurements
 //!
 //! All measurements flow through one [`eco_core::Engine`] per command:
 //! batches are evaluated in parallel, repeated points are served from
 //! the memo cache, and results come back in submission order, so every
 //! table, CSV and manifest is byte-identical whatever `--threads` says
-//! — the property `repro check` (and the CI golden-results job) gates.
+//! — the property `repro check` (and the CI `golden` job) gates.
 //! The sharded path extends the same property across process
 //! boundaries: one fresh engine per shard plus the shared store
 //! reproduces the serial bytes, which `repro check --workers N` gates.
@@ -129,10 +119,6 @@ const COMMANDS: &[Command] = &[
     Command::new("strategies", "", &[ENGINE], |a| engine(a, strategies_ablation)),
     Command::new("attribution", "", &[], |_| plain(attribution)),
     Command::new("modelrank", "", &[ENGINE], |a| engine(a, model_rank)),
-    Command::new("smoke", "", &[ENGINE, &["--json FILE"]], smoke),
-    Command::new("bench", "", &[ENGINE, &[
-        WORKERS, SHARD_SIZES, "--bench-out FILE", "--smoke-only", "--sweep FIG",
-    ]], bench),
     Command::new("plan", "<FIG>", &[&[SHARD_SIZES, "--plan-out FILE"]], plan_cmd),
     Command::new("shard", "", &[ENGINE, &["--shard FILE"]], shard_cmd),
     Command::new("sweep", "<FIG>", &[&[THREADS, STORE], SWEEP, &["--figure-scale K"]], sweep_cmd),
@@ -813,220 +799,6 @@ fn attribution() {
         }
     }
     println!();
-}
-
-/// What one smoke run measured, for the JSON outputs.
-struct SmokeResult {
-    machine: String,
-    threads: usize,
-    points: u64,
-    secs: f64,
-}
-
-impl SmokeResult {
-    fn points_per_sec(&self) -> f64 {
-        self.points as f64 / self.secs.max(1e-9)
-    }
-
-    fn to_json(&self) -> Json {
-        // `machine` is stamped exactly like the full `repro bench`
-        // trajectory, so `eco report --compare` pairs a smoke-only file
-        // against a committed full one by value, not by notes-only
-        // fallback.
-        Json::obj()
-            .field("machine", Json::str(&self.machine))
-            .field("threads", Json::UInt(self.threads as u64))
-            .field("points", Json::UInt(self.points))
-            .field("secs", Json::Float(self.secs))
-            .field("points_per_sec", Json::Float(self.points_per_sec()))
-    }
-}
-
-/// Offline-safe throughput check for CI: simulates a fixed mix of
-/// unique MM and Jacobi points (no memo hits) and prints
-/// evaluated-points/sec. No threshold — the number is informational, so
-/// slow runners never fail the build.
-fn smoke(a: &Args) -> Result<(), String> {
-    let result = run_smoke(&run_opts(a)?);
-    if let Some(path) = a.get("--json") {
-        fs::write(path, result.to_json().render())
-            .map_err(|e| format!("cannot write smoke json {path}: {e}"))?;
-    }
-    println!();
-    Ok(())
-}
-
-fn run_smoke(run: &RunOpts) -> SmokeResult {
-    use eco_exec::{EvalJob, Params};
-    use std::time::Instant;
-    println!("== smoke: evaluation throughput ==");
-    let machine = MachineDesc::sgi_r10000().scaled(FIGURE_SCALE);
-    let engine = run.engine(&machine, "smoke");
-    let mm = Kernel::matmul();
-    let jac = Kernel::jacobi3d();
-    let mut jobs = Vec::new();
-    for n in [64i64, 96, 128, 160, 200] {
-        for &(ti, tj, tk, pf) in &[
-            (1u64, 4u64, 32u64, false),
-            (4, 16, 16, false),
-            (4, 16, 16, true),
-            (8, 32, 16, false),
-        ] {
-            jobs.push(
-                EvalJob::new(mm_table_row(ti, tj, tk, pf), Params::new().with(mm.size, n))
-                    .with_label(format!("smoke/mm/{ti}x{tj}x{tk}/{n}")),
-            );
-        }
-    }
-    for n in [24i64, 36, 48] {
-        for &(ti, tj, tk, pf) in &[
-            (1u64, 1u64, 1u64, false),
-            (1, 4, 4, true),
-            (24, 4, 1, false),
-        ] {
-            jobs.push(
-                EvalJob::new(
-                    jacobi_table_row(ti, tj, tk, pf),
-                    Params::new().with(jac.size, n),
-                )
-                .with_label(format!("smoke/jacobi/{ti}x{tj}x{tk}/{n}")),
-            );
-        }
-    }
-    let started = Instant::now();
-    let results = engine.eval_batch(&jobs);
-    let secs = started.elapsed().as_secs_f64();
-    let ok = results.iter().filter(|r| r.is_ok()).count();
-    let evaluated = engine.stats().evaluated;
-    println!(
-        "   threads={}: {evaluated} points in {secs:.2}s -> {:.1} points/sec ({ok}/{} ok)",
-        engine.threads(),
-        evaluated as f64 / secs,
-        results.len()
-    );
-    assert_eq!(ok, results.len(), "smoke points must all simulate cleanly");
-    SmokeResult {
-        machine: machine.name.clone(),
-        threads: engine.threads(),
-        points: evaluated,
-        secs,
-    }
-}
-
-/// `repro bench`: one benchmark-trajectory measurement — smoke
-/// throughput plus, unless `--smoke-only`, wall time / points/sec /
-/// manifest fingerprint for each reproduced figure; with `--sweep FIG`
-/// also the sweep wall time of that figure at `--workers 1` vs N
-/// (default 4), run in scratch directories with cold stores. The JSON
-/// goes to `--bench-out FILE` (and stdout otherwise); compare two of
-/// these files with `eco report --compare OLD NEW`.
-fn bench(a: &Args) -> Result<(), String> {
-    use std::hash::Hasher;
-    use std::time::Instant;
-    let run = run_opts(a)?;
-    let smoke_only = a.has("--smoke-only");
-    let sweep = match a.get("--sweep") {
-        Some(name) => {
-            let def = figures::figure(name)
-                .ok_or_else(|| format!("bench: unknown --sweep figure {name}"))?;
-            let workers = match a.num("--workers", 1)? {
-                w if w > 1 => w,
-                _ => 4,
-            };
-            Some((def, sweep_config(a, PathBuf::new(), workers, false)?))
-        }
-        None => None,
-    };
-    println!("== bench: benchmark trajectory ==");
-    let smoke = run_smoke(&run);
-    let mut figures_json = Json::obj();
-    if !smoke_only {
-        for def in figures::FIGURES {
-            let started = Instant::now();
-            let (_, manifest) = figures::run(def, &run);
-            let wall = started.elapsed().as_secs_f64();
-            let points = Json::parse(&manifest)
-                .ok()
-                .and_then(|doc| {
-                    doc.get_path("engine_stats.requested")
-                        .and_then(Json::as_u64)
-                })
-                .unwrap_or(0);
-            let mut h = eco_core::events::Fnv64::new();
-            h.write(manifest.as_bytes());
-            figures_json = figures_json.field(
-                def.name,
-                Json::obj()
-                    .field("wall_secs", Json::Float(wall))
-                    .field("points", Json::UInt(points))
-                    .field(
-                        "points_per_sec",
-                        Json::Float(points as f64 / wall.max(1e-9)),
-                    )
-                    .field("manifest_fingerprint", Json::fingerprint(h.finish())),
-            );
-        }
-    }
-    let sweep_section = match sweep {
-        Some((def, config)) => Some(bench_sweep(def, config)?),
-        None => None,
-    };
-    let mut doc = Json::obj()
-        .field("bench_version", Json::UInt(1))
-        .field("generator", Json::str("repro bench"))
-        .field(
-            "machine",
-            Json::str(&MachineDesc::sgi_r10000().scaled(FIGURE_SCALE).name),
-        )
-        .field("smoke", smoke.to_json());
-    if !smoke_only {
-        doc = doc.field("figures", figures_json);
-    }
-    if let Some(section) = sweep_section {
-        doc = doc.field("sweep", section);
-    }
-    match a.get("--bench-out") {
-        Some(path) => {
-            fs::write(path, doc.render())
-                .map_err(|e| format!("cannot write trajectory {path}: {e}"))?;
-            println!("   wrote trajectory to {path}");
-        }
-        None => print!("{}", doc.render()),
-    }
-    Ok(())
-}
-
-/// The `--sweep FIG` section of the trajectory: wall time of a cold
-/// sharded sweep at one worker vs `sharded.workers`, in scratch
-/// directories.
-fn bench_sweep(def: &FigureDef, sharded: SweepConfig) -> Result<Json, String> {
-    let name = def.name;
-    let workers = sharded.workers;
-    let root = std::env::temp_dir().join(format!("eco-bench-sweep-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&root);
-    let mut walls = [0.0f64; 2];
-    for (slot, w) in [1usize, workers].into_iter().enumerate() {
-        let sweep_dir = root.join(format!("{name}-w{w}"));
-        let config = SweepConfig {
-            workers: w,
-            store: sweep_dir.join("store"),
-            sweep_dir,
-            ..sharded.clone()
-        };
-        let outcome = run_sweep(&def.spec(), &config)?;
-        walls[slot] = outcome.wall_secs;
-        println!(
-            "   sweep {name} workers={w}: {} shard(s) in {:.1}s",
-            outcome.planned, outcome.wall_secs
-        );
-    }
-    let _ = fs::remove_dir_all(&root);
-    Ok(Json::obj()
-        .field("figure", Json::str(name))
-        .field("workers", Json::UInt(workers as u64))
-        .field("serial_secs", Json::Float(walls[0]))
-        .field("sharded_secs", Json::Float(walls[1]))
-        .field("speedup", Json::Float(walls[0] / walls[1].max(1e-9))))
 }
 
 fn model_rank(run: &RunOpts) {

@@ -10,9 +10,9 @@ use eco_exec::EngineConfig;
 use eco_machine::MachineDesc;
 use std::str::FromStr;
 
-/// A flag as it appears in a usage line: its name, then one
-/// placeholder per value it takes (`"--certify"`, `"--threads N"`,
-/// `"--compare OLD NEW"`).
+/// A flag as it appears in a usage line: its name, then the
+/// placeholder of its value if it takes one (`"--certify"`,
+/// `"--threads N"`).
 pub type Flag = &'static str;
 
 /// Evaluation threads (0 = auto).
@@ -98,7 +98,7 @@ impl Command {
 #[derive(Debug)]
 pub struct Args {
     command: &'static Command,
-    flags: Vec<(String, Vec<String>)>,
+    flags: Vec<(String, Option<String>)>,
     /// The positional arguments; every required one is present.
     pub positionals: Vec<String>,
 }
@@ -109,30 +109,31 @@ impl Args {
         self.command.name
     }
 
-    /// The values of the last `name` on the command line.
+    /// The last `name` on the command line, with its value if it takes
+    /// one.
     ///
     /// # Panics
     ///
     /// Panics when the command's row does not list `name`: a handler
     /// must read only the flags its row accepts.
-    pub fn values(&self, name: &str) -> Option<&[String]> {
+    fn last(&self, name: &str) -> Option<&Option<String>> {
         assert!(
             self.command.spec(name).is_some(),
             "`{}` reads {name}, which its command row does not accept",
             self.command.name
         );
-        let (_, values) = self.flags.iter().rev().find(|(n, _)| n == name)?;
-        Some(values)
+        let (_, value) = self.flags.iter().rev().find(|(n, _)| n == name)?;
+        Some(value)
     }
 
     /// The value of the last `name` on the command line.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.values(name)?.first().map(String::as_str)
+        self.last(name)?.as_deref()
     }
 
     /// Whether `name` was given.
     pub fn has(&self, name: &str) -> bool {
-        self.values(name).is_some()
+        self.last(name).is_some()
     }
 
     /// The value of `name` parsed as a `T`, or `default` when absent.
@@ -191,12 +192,12 @@ pub fn parse(bin: &str, commands: &'static [Command], argv: &[String]) -> Result
         let spec = command
             .spec(&arg)
             .ok_or_else(|| format!("unknown option {arg}"))?;
-        let values = spec
-            .split(' ')
-            .skip(1)
-            .map(|_| it.next().ok_or_else(|| format!("{arg} needs a value")))
-            .collect::<Result<_, _>>()?;
-        args.flags.push((arg, values));
+        let value = if spec.contains(' ') {
+            Some(it.next().ok_or_else(|| format!("{arg} needs a value"))?)
+        } else {
+            None
+        };
+        args.flags.push((arg, value));
     }
     let slots: Vec<&str> = command.positionals.split_whitespace().collect();
     if let Some(extra) = args.positionals.get(slots.len()) {
@@ -297,7 +298,7 @@ mod tests {
         Command::new("lint", "<kernel>", &[MACHINE], |_| Ok(())),
         Command::new("client tune", "<kernel>", &[&["--socket S", "--search-n N"]], |_| Ok(())),
         Command::new("trace", "[FP]", &[&["--socket S"]], |_| Ok(())),
-        Command::new("report", "", &[&["--compare OLD NEW", "--no-attribution"]], |_| Ok(())),
+        Command::new("report", "", &[&["--out DIR", "--no-attribution"]], |_| Ok(())),
     ];
 
     fn parse_line(line: &str) -> Result<Args, String> {
@@ -341,7 +342,7 @@ mod tests {
     fn parse_errors_name_the_offending_argument() {
         let overview = "usage: eco <show|tune|lint|client|trace|report> ...";
         for (line, err) in [
-            ("report --compare old.json", "--compare needs a value"),
+            ("report --out", "--out needs a value"),
             ("tune mm --threads", "--threads needs a value"),
             ("show mm --threads 4", "unknown option --threads"),
             ("client tune mm --sockt x", "unknown option --sockt"),
@@ -362,12 +363,10 @@ mod tests {
 
     #[test]
     fn values_are_read_back_by_name() {
-        let args = parse_line("report --compare a.json b.json --no-attribution").expect("parses");
-        assert_eq!(
-            args.values("--compare").expect("given"),
-            ["a.json", "b.json"]
-        );
+        let args = parse_line("report --out d --no-attribution").expect("parses");
+        assert_eq!(args.get("--out"), Some("d"));
         assert!(args.has("--no-attribution"));
+        assert_eq!(args.get("--no-attribution"), None);
         // A repeated flag keeps its last value.
         let args = parse_line("tune mm --threads 2 --threads 5").expect("parses");
         assert_eq!(args.num("--threads", 0usize), Ok(5));

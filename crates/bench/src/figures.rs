@@ -219,7 +219,7 @@ pub fn eco_search_opts(search_n: i64) -> SearchOptions {
         // SearchOptions docs)
         .robustness_sizes(vec![(search_n as u64).next_power_of_two() as i64])
         // statically certify every candidate, also in release builds:
-        // the golden manifests record the flag, and CI's golden-results
+        // the golden manifests record the flag, and CI's `golden`
         // job doubles as the "certification never rejects a real
         // search point" check
         .certify(true)

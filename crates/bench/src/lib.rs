@@ -1,8 +1,8 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
-//! The `repro` binary (in `src/bin/repro.rs`) drives these helpers; the
-//! Criterion benches reuse them at smaller sizes. See DESIGN.md §7 for
-//! the experiment index and EXPERIMENTS.md for recorded results.
+//! The `repro` binary (in `src/bin/repro.rs`) drives these helpers, and
+//! the `benchmark/` package times some of them. See DESIGN.md §9 for the
+//! experiment index and EXPERIMENTS.md for recorded results.
 
 pub mod cli;
 pub mod figures;

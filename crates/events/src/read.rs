@@ -336,7 +336,7 @@ impl Json {
         }
     }
 
-    /// The value at a `.`-separated path (`"smoke.points_per_sec"`).
+    /// The value at a `.`-separated path (`"engine_stats.requested"`).
     pub fn get_path(&self, path: &str) -> Option<&Json> {
         let mut cur = self;
         for key in path.split('.') {

@@ -14,8 +14,6 @@
 //! - [`html`] — a self-contained static HTML report with inline SVG
 //!   (stage timeline, search-landscape heatmap, best-so-far
 //!   trajectory).
-//! - [`trajectory`] — the benchmark-trajectory regression gate behind
-//!   `eco report --compare`.
 //!
 //! The entry point is [`analyze_stream`]: validate with
 //! [`eco_events::check_stream`], parse with
@@ -27,7 +25,6 @@ pub mod attribution;
 pub mod html;
 pub mod profile;
 pub mod render;
-pub mod trajectory;
 
 pub use attribution::{
     attribute_run, resolve_machine, stream_machine_fingerprint, AttributionOptions, AttributionRow,
@@ -37,9 +34,6 @@ pub use html::render_html;
 pub use profile::{LineageNode, SearchProfile, SpanNode, SpanTree, StageRow, VariantRow};
 pub use render::{
     render_attribution_ascii, render_attribution_csv, render_profile_ascii, render_profile_csv,
-};
-pub use trajectory::{
-    compare_trajectories, render_comparison, render_comparison_html, Comparison, MetricDelta,
 };
 
 use eco_events::read::read_records;

@@ -314,7 +314,7 @@ fn reversed_interchange_is_flagged_e003() {
 /// fingerprint and every certificate (codes, messages, contexts and
 /// counts at two sizes) fold into one FNV value, so a change to the
 /// transforms, the printer, the fingerprint or the certifier's output
-/// fails here, not only in the golden-results job.
+/// fails here, not only in the `golden` CI job.
 #[test]
 fn generated_corpus_is_pinned() {
     use eco_core::events::Fnv64;

@@ -1,15 +1,14 @@
 //! Report-subsystem integration tests: the fixture stream parses the
-//! same at any read-chunk size, a committed golden fixture, the
-//! trajectory regression gate, and a live tune → report round trip.
+//! same at any read-chunk size, a committed golden fixture, and a live
+//! tune → report round trip.
 
-use eco_core::events::Json;
 use eco_core::{EngineConfig, SearchOptions, TuneRequest};
 use eco_events::read::read_records;
 use eco_kernels::Kernel;
 use eco_machine::MachineDesc;
 use eco_report::{
-    analyze_stream, compare_trajectories, render_attribution_ascii, render_html,
-    render_profile_ascii, render_profile_csv, ReportOptions, RunReport,
+    analyze_stream, render_attribution_ascii, render_html, render_profile_ascii,
+    render_profile_csv, ReportOptions, RunReport,
 };
 
 fn fixture(name: &str) -> String {
@@ -79,46 +78,6 @@ fn fixture_profile_reconstructs_the_search() {
         "lineage does not end at the selected variant"
     );
     assert_eq!(report.records, report.summary.records);
-}
-
-#[test]
-fn synthetically_regressed_trajectory_fails_the_gate() {
-    let old = Json::obj()
-        .field(
-            "smoke",
-            Json::obj()
-                .field("points", Json::UInt(29))
-                .field("secs", Json::Float(2.0))
-                .field("points_per_sec", Json::Float(14.5)),
-        )
-        .field(
-            "figures",
-            Json::obj().field(
-                "fig4a",
-                Json::obj()
-                    .field("wall_secs", Json::Float(3.0))
-                    .field("manifest_fingerprint", Json::str("0x1")),
-            ),
-        );
-    // Identical trajectories pass at any threshold.
-    assert!(compare_trajectories(&old, &old, 0.5).passed());
-    // Halved throughput fails a 25% gate but passes a generous 60% one.
-    let regressed = Json::obj().field(
-        "smoke",
-        Json::obj()
-            .field("points", Json::UInt(29))
-            .field("secs", Json::Float(2.6))
-            .field("points_per_sec", Json::Float(7.25)),
-    );
-    let cmp = compare_trajectories(&old, &regressed, 25.0);
-    assert!(!cmp.passed());
-    assert!(cmp
-        .regressions
-        .iter()
-        .any(|d| d.path == "smoke.points_per_sec"));
-    // The figure metrics exist only in the old file: notes, not gates.
-    assert!(cmp.notes.iter().any(|n| n.contains("only in old file")));
-    assert!(compare_trajectories(&old, &regressed, 60.0).passed());
 }
 
 #[test]
