@@ -128,11 +128,9 @@ pub fn render_top(cur: &Exposition, base: Option<&Baseline<'_>>) -> String {
         fmt_count(cur.total("eco_engine_eval_errors_total")),
     ));
     out.push_str(&format!(
-        "         eval {}   plans {}  ff windows {}  ff accesses {}\n",
+        "         eval {}   plans {}\n",
         quantiles("eco_engine_eval_duration_us", &[]),
         fmt_count(cur.total("eco_engine_plan_compiles_total")),
-        fmt_count(cur.total("eco_engine_ff_windows_total")),
-        fmt_count(cur.total("eco_engine_ff_accesses_total")),
     ));
 
     // store: persistent-result-store traffic.

@@ -8,9 +8,10 @@
 //! misses, cycles).
 //!
 //! The executor in `eco-exec` walks an IR program and feeds every memory
-//! access to [`MemoryHierarchy::access`]; flop and loop-overhead costs
-//! are added through [`MemoryHierarchy::add_flops`] and
-//! [`MemoryHierarchy::add_loop_iterations`].
+//! access to [`MemoryHierarchy::access`] (or whole fused loops, as
+//! strided streams, to [`MemoryHierarchy::access_streams`]); flop and
+//! loop-overhead costs are added through [`MemoryHierarchy::add_flops`]
+//! and [`MemoryHierarchy::add_loop_iterations`].
 //!
 //! Modelling choices (documented deviations from real hardware):
 //!
@@ -42,11 +43,6 @@
 //! ```
 
 use eco_machine::{CacheDesc, MachineDesc, TlbDesc};
-
-/// Maximum cache levels supported by the allocation-free attribution
-/// path (`access_tagged` snapshots per-level miss counters into a fixed
-/// array instead of cloning a `Vec` per access).
-const MAX_LEVELS: usize = 8;
 
 /// The kind of a memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -152,40 +148,6 @@ impl Counters {
     }
 }
 
-/// Simulation-side telemetry that is *not* part of the architectural
-/// [`Counters`]: how much of the access stream was serviced by the
-/// exact fast-forward path instead of being walked access-by-access.
-///
-/// Kept separate from [`Counters`] on purpose — counters are compared
-/// bit-exactly between the compiled and reference backends, and
-/// fast-forward is a property of *how* the simulation ran, not of the
-/// simulated machine. The number of walked accesses is recoverable as
-/// `(loads + stores + prefetches) - ff_accesses`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SimStats {
-    /// Fast-forward windows applied.
-    pub ff_windows: u64,
-    /// Accesses accounted arithmetically instead of walked.
-    pub ff_accesses: u64,
-    /// Fast-forwarded demand accesses per tag (parallel to
-    /// `Counters::per_tag`; empty unless tagged streams are used).
-    pub per_tag_ff: Vec<u64>,
-}
-
-impl SimStats {
-    /// Accumulates `other` into `self` (mirrors [`Counters::merge`]).
-    pub fn merge(&mut self, other: &SimStats) {
-        self.ff_windows += other.ff_windows;
-        self.ff_accesses += other.ff_accesses;
-        if self.per_tag_ff.len() < other.per_tag_ff.len() {
-            self.per_tag_ff.resize(other.per_tag_ff.len(), 0);
-        }
-        for (a, b) in self.per_tag_ff.iter_mut().zip(&other.per_tag_ff) {
-            *a += b;
-        }
-    }
-}
-
 /// One strided access stream of a fused loop nest, in struct-of-arrays
 /// batch form: iteration `t` of the loop touches `base + t * stride`
 /// whenever `vlo <= t <= vhi`. A batch of streams is serviced in one
@@ -209,442 +171,65 @@ pub struct StreamSpec {
 
 const INVALID: u64 = u64::MAX;
 
-/// Fast-forward tuning: max line groups probed per window (all streams).
-const FF_GROUP_BUDGET: i64 = 64;
-/// Fast-forward tuning: max window length in iterations.
-const FF_HORIZON_MAX: i64 = 1 << 20;
-/// Fast-forward tuning: max iterations walked between re-probes once
-/// probing keeps failing (exponential backoff bounds probe overhead on
-/// streaming phases that are never resident).
-const FF_WALK_MAX: i64 = 64;
-/// Fast-forward tuning: consecutive event-dense windows before the
-/// access pattern is declared hostile and fast-forward is suspended.
-const FF_STRIKES: u32 = 3;
-/// Fast-forward tuning: segments walked outright after striking out
-/// before fast-forward is retried. Hostile phases (miss rates so high
-/// that almost every access is an event, as in large-stencil sweeps)
-/// then pay a few over-priced windows per cooldown instead of per
-/// window, bounding the overhead over a plain walk to a few percent.
-const FF_COOLDOWN: u32 = 256;
-
-/// Exclusive end of the run of iterations `t, t+1, …` (capped at
-/// `t_limit`) whose addresses stay inside the `1 << bits` block of
-/// `addr` (the address at iteration `t`) under `stride`.
-#[inline]
-fn block_run_end(addr: i64, stride: i64, bits: u32, t: i64, t_limit: i64) -> i64 {
-    if stride == 0 {
-        return t_limit;
-    }
-    let mask = (1i64 << bits) - 1;
-    let further = if stride > 0 {
-        (mask - (addr & mask)) / stride
-    } else {
-        (addr & mask) / -stride
-    };
-    (t.saturating_add(further).saturating_add(1)).min(t_limit)
+/// Where one access stream (a *lane*) last hit: the L1 slot and TLB
+/// entry it touched. A strided stream usually touches the same line or
+/// page again on its next iteration, so the walker tries these slots
+/// before any search. They are hints, never trusted unverified: a slot
+/// is used only while it still holds the line (page) being looked up,
+/// so a stale hint costs a search, never a different result.
+#[derive(Debug, Clone, Copy, Default)]
+struct Memo {
+    l1: u32,
+    tlb: u32,
 }
 
-/// The address at iteration `t`, when representable and non-negative;
-/// `None` makes the fast-forward scan stop (the walker then reproduces
-/// the reference wrapping arithmetic exactly).
-#[inline]
-fn stream_addr(base: i64, stride: i64, t: i64) -> Option<i64> {
-    t.checked_mul(stride)
-        .and_then(|o| base.checked_add(o))
-        .filter(|a| *a >= 0)
-}
-
-/// Sentinel slot for a window group whose block was probed non-resident.
-/// Patched to the real slot once the group's head access walks and fills.
-const WIN_MISS: u32 = u32::MAX;
-
-/// One contiguous same-block (line or page) run of one stream inside a
-/// fast-forward window: iterations `[t_first, t_last]` of the stream all
-/// touch `block`.
-#[derive(Debug, Clone, Copy)]
-struct WinGroup {
-    t_first: i64,
-    t_last: i64,
-    /// Line or page number.
-    block: u64,
-    /// Slot holding the block at probe time; [`WIN_MISS`] when absent.
-    slot: u32,
-}
-
-/// A window access that must be walked: its line or page was probed
-/// non-resident, so it is the one kind of access whose effect (victim
-/// choice, fills, penalties) depends on live state.
-#[derive(Debug, Clone, Copy)]
-struct WinEvent {
-    t: i64,
-    /// Global position within the iteration: the index (into the
-    /// segment's active-stream list) of the *first copy* of the lane.
-    pos: u32,
-    /// Lane that raised the event.
-    lane: u32,
-    /// The probed-absent block (line or page number) — used to keep only
-    /// the first event per block.
-    block: u64,
-}
-
-/// One *deduplicated* access stream of a segment: unroll-and-jammed
-/// loops produce many active streams with identical `(base, stride)`
-/// (every copy touches the same address on the same iteration), so the
-/// window machinery probes and bookkeeps per lane and expands back to
-/// per-copy global positions (`pos_lo..pos_hi` into
-/// [`WindowScratch::lane_pos`], ascending) only where exactness needs
-/// them — LRU stamp values and issue counts.
-#[derive(Debug, Clone, Copy)]
+/// Walker state of one stream of an
+/// [`MemoryHierarchy::access_streams`] batch.
+#[derive(Debug, Clone, Copy, Default)]
 struct Lane {
-    base: i64,
-    stride: i64,
-    kind: AccessKind,
+    /// Address of the stream's next access.
+    addr: u64,
+    /// Per-iteration byte delta (two's complement).
+    stride: u64,
+    prefetch: bool,
     tag: u32,
-    pos_lo: u32,
-    pos_hi: u32,
+    memo: Memo,
 }
 
-/// A set of lanes whose address sequences provably land in the *same*
-/// block (line or page) on *every* iteration, so the window probes and
-/// bookkeeps the whole set once per domain. Two lanes merge when they
-/// share a stride and their base offset keeps every access inside one
-/// block: with `g = gcd(stride, block_size)` (power of two), the block
-/// offset of lane `i`'s access cycles through `base_i mod g + j * g`,
-/// so `base_j - base_i + (base_i mod g) < g` pins both lanes to one
-/// block for all `t`. (Covers unroll copies, split load/store streams
-/// of one array, and neighbor offsets inside a line.)
+/// One slot of an LRU set: the resident line (page) number and the
+/// clock value of its last touch.
 #[derive(Debug, Clone, Copy)]
-struct BlockLane {
-    /// Anchor (smallest-base member) address parameters.
-    base: i64,
-    stride: i64,
-    /// `[pos_lo, pos_hi)` into the domain's position array: the union
-    /// of the member lanes' active positions, ascending.
-    pos_lo: u32,
-    pos_hi: u32,
+struct Slot {
+    /// `u64::MAX` = invalid.
+    tag: u64,
+    stamp: u64,
 }
 
-/// Reused allocations for [`MemoryHierarchy::ff_window`].
-#[derive(Debug, Clone, Default)]
-struct WindowScratch {
-    /// Deduplicated streams of the current segment.
-    lanes: Vec<Lane>,
-    /// Lane id of each active position (build-time scratch).
-    lane_of: Vec<u32>,
-    /// Active positions grouped by lane, ascending within a lane.
-    lane_pos: Vec<u32>,
-    /// Line-domain block-lanes and their grouped positions.
-    bl_l: Vec<BlockLane>,
-    blpos_l: Vec<u32>,
-    /// Page-domain block-lanes and their grouped positions.
-    bl_p: Vec<BlockLane>,
-    blpos_p: Vec<u32>,
-    /// Lane id -> block-lane id, per domain (build-time scratch).
-    bl_of_l: Vec<u32>,
-    bl_of_p: Vec<u32>,
-    /// Lane ids sorted by (stride, base) (build-time scratch).
-    lane_order: Vec<u32>,
-    /// Per-position scatter scratch.
-    scatter: Vec<u32>,
-    /// Line groups, lane-major (all of lane 0, then lane 1, …).
-    lg: Vec<WinGroup>,
-    /// Page groups, lane-major.
-    pg: Vec<WinGroup>,
-    /// Per-lane `[start, end)` range into `lg`.
-    lg_range: Vec<(u32, u32)>,
-    /// Per-lane `[start, end)` range into `pg`.
-    pg_range: Vec<(u32, u32)>,
-    /// Per-lane flush cursor (absolute index into `lg`).
-    lg_cur: Vec<u32>,
-    /// Per-lane flush cursor (absolute index into `pg`).
-    pg_cur: Vec<u32>,
-    /// Line groups in expiry order: `(g_last, group index, block-lane)`
-    /// sorted ascending — the amortized advance pops fully-covered
-    /// groups from here instead of scanning every block-lane's cursor
-    /// at every event.
-    exp_l: Vec<(i64, u32, u32)>,
-    /// Page groups in expiry order.
-    exp_p: Vec<(i64, u32, u32)>,
-    /// Raw line-domain events (build-time scratch).
-    events_l: Vec<WinEvent>,
-    /// Raw page-domain events (build-time scratch).
-    events_p: Vec<WinEvent>,
-    /// Surviving walk events, sorted by global position.
-    events: Vec<WinEvent>,
-    /// Per-lane count of walked (event) accesses.
-    walked: Vec<u32>,
-    /// Line groups indexed by block: `(block, group index, lane)`,
-    /// sorted, for O(log G) patch and eviction-demote lookups.
-    lg_idx: Vec<(u64, u32, u32)>,
-    /// Page groups indexed by block.
-    pg_idx: Vec<(u64, u32, u32)>,
-}
+const EMPTY: Slot = Slot {
+    tag: INVALID,
+    stamp: 0,
+};
 
-/// Enumerates the same-block groups of the lane `base + t * stride`
-/// over `[t0, te)`, probing each block's residency, and records a walk
-/// event at the head of every non-resident group.
-#[allow(clippy::too_many_arguments)]
-fn enum_groups(
-    base: i64,
-    stride: i64,
-    bits: u32,
-    t0: i64,
-    te: i64,
-    probe: impl Fn(u64) -> Option<u32>,
-    out: &mut Vec<WinGroup>,
-    events: &mut Vec<WinEvent>,
-    lane: u32,
-    first_pos: u32,
-) {
-    let mut t = t0;
-    while t < te {
-        let addr = stream_addr(base, stride, t).expect("prechecked window");
-        let block = (addr >> bits) as u64;
-        let t_last = block_run_end(addr, stride, bits, t, te) - 1;
-        let slot = match probe(block) {
-            Some(s) => s,
-            None => {
-                events.push(WinEvent {
-                    t,
-                    pos: first_pos,
-                    lane,
-                    block,
-                });
-                WIN_MISS
-            }
-        };
-        out.push(WinGroup {
-            t_first: t,
-            t_last,
-            block,
-            slot,
-        });
-        t = t_last + 1;
-    }
-}
-
-/// Latest covered touch (global position) of `grp` by any of its
-/// block-lane's `copies` strictly below `g_limit`, or -1 when none —
-/// the value the group's slot stamp must reflect once accesses up to
-/// `g_limit` have run. Monotone in `g_limit`, so stamps derived from it
-/// can be written lazily at any later point and max-merged.
-#[inline]
-fn group_last_touch(grp: &WinGroup, copies: &[u32], t0: i64, k: i64, g_limit: i64) -> i64 {
-    let mut best = -1i64;
-    for &p in copies {
-        let p = p as i64;
-        if g_limit > p {
-            let u_rel = ((g_limit - 1 - p) / k).min(grp.t_last - t0);
-            if t0 + u_rel >= grp.t_first {
-                best = best.max(u_rel * k + p);
-            }
+/// Looks `tag` up in one LRU set at time `clock`: restamps its slot on
+/// a hit, else fills the least recently used slot (the first with the
+/// smallest stamp). Returns whether it hit and the slot's index in
+/// `set`.
+#[inline(always)]
+fn lru_access(set: &mut [Slot], tag: u64, clock: u64) -> (bool, usize) {
+    let mut victim = 0;
+    let mut oldest = u64::MAX;
+    for (i, s) in set.iter_mut().enumerate() {
+        if s.tag == tag {
+            s.stamp = clock;
+            return (true, i);
+        }
+        if s.stamp < oldest {
+            oldest = s.stamp;
+            victim = i;
         }
     }
-    best
-}
-
-/// The amortized half of stamp flushing: pops groups from the expiry
-/// list while they lie fully behind `g_limit`, stamping each consumed
-/// group with its last toucher and advancing its block-lane's cursor.
-/// Each group is consumed exactly once per window, so the cost is
-/// O(groups) total no matter how many events call this. Groups marked
-/// [`WIN_MISS`] are skipped — their block's first-touch event has not
-/// run yet (no covered access touched them), or they were demoted, in
-/// which case their slot's stamp is the fill stamp of the access that
-/// evicted them, which this flush must not regress (and max-merge
-/// cannot).
-fn advance_exp(
-    exp: &[(i64, u32, u32)],
-    exp_cur: &mut usize,
-    list: &[WinGroup],
-    cur: &mut [u32],
-    stamps: &mut [u64],
-    clock0: u64,
-    g_limit: i64,
-) {
-    while let Some(&(g_last, gi, bli)) = exp.get(*exp_cur) {
-        if g_last >= g_limit {
-            break;
-        }
-        let grp = &list[gi as usize];
-        if grp.slot != WIN_MISS {
-            let st = &mut stamps[grp.slot as usize];
-            let v = clock0 + g_last as u64 + 1;
-            if *st < v {
-                *st = v;
-            }
-        }
-        cur[bli as usize] = gi + 1;
-        *exp_cur += 1;
-    }
-}
-
-/// The boundary half of stamp flushing: writes the partial (latest
-/// covered touch) stamp of each block-lane's cursor group, for slots
-/// selected by `want` — victim selection at an event only reads the
-/// stamps of one L1 set (or the TLB on a TLB miss), so stamping the
-/// rest of the boundary groups can wait for a later, larger `g_limit`;
-/// the partial value is monotone in `g_limit` and max-merged, so
-/// deferral never changes what a slot ends up holding when it *is*
-/// read. Callers must [`advance_exp`] to the same `g_limit` first.
-#[allow(clippy::too_many_arguments)]
-fn partial_stamp(
-    list: &[WinGroup],
-    cur: &[u32],
-    ranges: &[(u32, u32)],
-    bls: &[BlockLane],
-    blpos: &[u32],
-    stamps: &mut [u64],
-    clock0: u64,
-    t0: i64,
-    k: i64,
-    g_limit: i64,
-    want: impl Fn(u32) -> bool,
-) {
-    for (li, bl) in bls.iter().enumerate() {
-        let c = cur[li];
-        if c >= ranges[li].1 {
-            continue;
-        }
-        let grp = &list[c as usize];
-        if grp.slot == WIN_MISS || !want(grp.slot) {
-            continue;
-        }
-        let copies = &blpos[bl.pos_lo as usize..bl.pos_hi as usize];
-        let best = group_last_touch(grp, copies, t0, k, g_limit);
-        if best >= 0 {
-            let st = &mut stamps[grp.slot as usize];
-            let v = clock0 + best as u64 + 1;
-            if *st < v {
-                *st = v;
-            }
-        }
-    }
-}
-
-/// Handles an event evicting `block` out from under the window: every
-/// group still assuming the block resident is demoted to [`WIN_MISS`]
-/// (from here on the block genuinely is absent — the demoted groups all
-/// held the victim slot, whose stamp the evicting fill overwrites, so
-/// their not-yet-flushed covered touches can no longer matter; flushes
-/// skip [`WIN_MISS`] groups thereafter). Returns the `(t, pos)` of the
-/// earliest remaining touch of the block, strictly after `g_e` — the
-/// caller synthesizes a walk event there, which refills the block and
-/// patches the demoted groups' slots so the touches after it bulk as
-/// hits again.
-#[allow(clippy::too_many_arguments)]
-fn demote_block(
-    list: &mut [WinGroup],
-    idx: &[(u64, u32, u32)],
-    cur: &[u32],
-    bls: &[BlockLane],
-    blpos: &[u32],
-    block: u64,
-    t0: i64,
-    k: i64,
-    g_e: i64,
-) -> Option<(i64, u32)> {
-    let lo = idx.partition_point(|&(b, _, _)| b < block);
-    let mut best: Option<(i64, i64, u32)> = None;
-    for &(b, gi, li) in &idx[lo..] {
-        if b != block {
-            break;
-        }
-        if gi < cur[li as usize] {
-            continue;
-        }
-        let grp = &mut list[gi as usize];
-        if grp.slot == WIN_MISS {
-            continue;
-        }
-        grp.slot = WIN_MISS;
-        let bl = &bls[li as usize];
-        let copies = &blpos[bl.pos_lo as usize..bl.pos_hi as usize];
-        for &p in copies {
-            let p64 = p as i64;
-            // Smallest t in the group with (t - t0) * k + p > g_e.
-            let u_min = if g_e < p64 { 0 } else { (g_e - p64) / k + 1 };
-            let t = (t0 + u_min).max(grp.t_first);
-            if t <= grp.t_last {
-                let g = (t - t0) * k + p64;
-                if best.is_none_or(|(bg, ..)| g < bg) {
-                    best = Some((g, t, p));
-                }
-            }
-        }
-    }
-    best.map(|(_, t, p)| (t, p))
-}
-
-/// Merges lanes (pre-sorted by `(stride, base)` in `order`) into
-/// per-domain block-lanes (see [`BlockLane`]) and records each lane's
-/// block-lane id.
-fn build_block_lanes(
-    lanes: &[Lane],
-    order: &[u32],
-    bits: u32,
-    out: &mut Vec<BlockLane>,
-    bl_of: &mut Vec<u32>,
-) {
-    let bsize = 1i64 << bits;
-    out.clear();
-    bl_of.clear();
-    bl_of.resize(lanes.len(), 0);
-    for &li in order {
-        let l = &lanes[li as usize];
-        let merged = out.last().is_some_and(|bl: &BlockLane| {
-            if bl.stride != l.stride {
-                return false;
-            }
-            let g = if l.stride == 0 {
-                bsize
-            } else {
-                1i64 << l.stride.unsigned_abs().trailing_zeros().min(bits)
-            };
-            let d = l.base - bl.base;
-            d >= 0 && d + bl.base.rem_euclid(g) < g
-        });
-        if !merged {
-            out.push(BlockLane {
-                base: l.base,
-                stride: l.stride,
-                pos_lo: 0,
-                pos_hi: 0,
-            });
-        }
-        bl_of[li as usize] = (out.len() - 1) as u32;
-    }
-}
-
-/// Groups the active positions by group id (`of(p)`), ascending within
-/// each group, via a counting scatter; fills each group's
-/// `[pos_lo, pos_hi)` range.
-fn scatter_positions(
-    k: usize,
-    of: impl Fn(usize) -> usize,
-    groups: &mut [BlockLane],
-    out: &mut Vec<u32>,
-    counts: &mut Vec<u32>,
-) {
-    out.clear();
-    out.resize(k, 0);
-    counts.clear();
-    counts.resize(groups.len(), 0);
-    for p in 0..k {
-        counts[of(p)] += 1;
-    }
-    let mut at = 0u32;
-    for (gi, bl) in groups.iter_mut().enumerate() {
-        bl.pos_lo = at;
-        at += counts[gi];
-        bl.pos_hi = at;
-        counts[gi] = bl.pos_lo;
-    }
-    for p in 0..k {
-        let c = &mut counts[of(p)];
-        out[*c as usize] = p as u32;
-        *c += 1;
-    }
+    set[victim] = Slot { tag, stamp: clock };
+    (false, victim)
 }
 
 /// One set-associative cache level with LRU replacement.
@@ -653,10 +238,8 @@ struct Cache {
     line_bits: u32,
     set_mask: u64,
     ways: usize,
-    /// `tags[set * ways + way]`; `u64::MAX` = invalid.
-    tags: Vec<u64>,
-    /// LRU stamps parallel to `tags`.
-    stamps: Vec<u64>,
+    /// `slots[set * ways + way]`.
+    slots: Vec<Slot>,
     clock: u64,
     miss_penalty_x1000: u64,
 }
@@ -668,46 +251,27 @@ impl Cache {
             line_bits: geom.line_bits,
             set_mask: geom.set_mask,
             ways: geom.ways,
-            tags: vec![INVALID; geom.lines],
-            stamps: vec![0; geom.lines],
+            slots: vec![EMPTY; geom.lines],
             clock: 0,
             miss_penalty_x1000: desc.miss_penalty_cycles * 1000,
         }
     }
 
-    /// Pure residency probe: the slot holding `line`, if any. No clock
-    /// tick, no restamp — safe to call speculatively.
-    #[inline]
-    fn probe(&self, line: u64) -> Option<u32> {
-        let base = (line & self.set_mask) as usize * self.ways;
-        (base..base + self.ways)
-            .find(|&i| self.tags[i] == line)
-            .map(|i| i as u32)
-    }
-
-    /// Looks up `addr`, filling on miss. Returns whether it hit and the
-    /// slot (index into `tags`) where the line now resides.
-    #[inline]
-    fn access(&mut self, addr: u64) -> (bool, u32) {
-        let line = addr >> self.line_bits;
-        let set = (line & self.set_mask) as usize;
-        let base = set * self.ways;
+    /// Looks up `line`, filling on miss. Returns whether it hit and the
+    /// slot (index into `slots`) where the line now resides. `hint` is
+    /// a slot that may hold the line: a line lives in at most one slot,
+    /// so finding it there is exactly the hit the set search would find.
+    #[inline(always)]
+    fn access(&mut self, line: u64, hint: u32) -> (bool, u32) {
         self.clock += 1;
-        let mut victim = base;
-        let mut oldest = u64::MAX;
-        for i in base..base + self.ways {
-            if self.tags[i] == line {
-                self.stamps[i] = self.clock;
-                return (true, i as u32);
-            }
-            if self.stamps[i] < oldest {
-                oldest = self.stamps[i];
-                victim = i;
-            }
+        let s = &mut self.slots[hint as usize];
+        if s.tag == line {
+            s.stamp = self.clock;
+            return (true, hint);
         }
-        self.tags[victim] = line;
-        self.stamps[victim] = self.clock;
-        (false, victim as u32)
+        let base = (line & self.set_mask) as usize * self.ways;
+        let (hit, i) = lru_access(&mut self.slots[base..base + self.ways], line, self.clock);
+        (hit, (base + i) as u32)
     }
 }
 
@@ -715,24 +279,16 @@ impl Cache {
 #[derive(Debug, Clone)]
 struct Tlb {
     page_bits: u32,
-    pages: Vec<u64>,
-    stamps: Vec<u64>,
+    slots: Vec<Slot>,
     clock: u64,
     miss_penalty_x1000: u64,
-    /// Entry touched by the most recent access — a most-recently-used
-    /// shortcut that skips the full associative scan when consecutive
-    /// accesses stay on one page (the overwhelmingly common case for
-    /// strided loops). Behaviour is identical to the full scan: a hit
-    /// bumps the clock and restamps the entry either way.
-    mru: usize,
     /// Direct-mapped page → entry hints, indexed by the page's low bits.
-    /// A hint is only *trusted* after verifying `pages[slot]` still holds
-    /// the page, so stale or colliding entries merely fall back to the
-    /// full scan — the shortcut can never change simulated behaviour.
-    /// This is what keeps inner loops that interleave accesses to many
-    /// arrays (hence many pages, defeating the MRU shortcut) from paying
-    /// a full associative scan per access.
-    hint: Vec<(u64, u32)>,
+    /// A hint is only *trusted* after verifying `slots[entry]` still
+    /// holds the page, so stale or colliding entries merely fall back to
+    /// the full scan — the shortcut can never change simulated
+    /// behaviour. This is what keeps a stream that moves to a new page
+    /// from paying a full associative scan on every TLB hit.
+    hint: Vec<u32>,
 }
 
 /// log2 of the TLB hint-table size.
@@ -746,65 +302,32 @@ impl Tlb {
         );
         Tlb {
             page_bits: desc.page_bytes.trailing_zeros(),
-            pages: vec![INVALID; desc.entries],
-            stamps: vec![0; desc.entries],
+            slots: vec![EMPTY; desc.entries],
             clock: 0,
             miss_penalty_x1000: desc.miss_penalty_cycles * 1000,
-            mru: 0,
-            hint: vec![(INVALID, 0); 1 << TLB_HINT_BITS],
+            hint: vec![0; 1 << TLB_HINT_BITS],
         }
     }
 
-    /// Pure residency probe: the entry holding `page`, if any. Tries
-    /// the MRU and hint accelerators first (verified before trusted,
-    /// exactly like [`Tlb::access`]), falling back to the full scan.
-    /// No clock tick, no restamp, no accelerator update.
-    #[inline]
-    fn probe(&self, page: u64) -> Option<u32> {
-        if self.pages[self.mru] == page {
-            return Some(self.mru as u32);
-        }
-        let (hint_page, hint_slot) = self.hint[(page as usize) & ((1usize << TLB_HINT_BITS) - 1)];
-        if hint_page == page && self.pages[hint_slot as usize] == page {
-            return Some(hint_slot);
-        }
-        self.pages.iter().position(|&p| p == page).map(|i| i as u32)
-    }
-
-    #[inline]
-    fn access(&mut self, addr: u64) -> (bool, u32) {
-        let page = addr >> self.page_bits;
+    /// Looks up `page`, filling on miss; `hint` is an entry that may
+    /// hold it, verified before it is trusted (see [`Cache::access`]).
+    #[inline(always)]
+    fn access(&mut self, page: u64, hint: u32) -> (bool, u32) {
         self.clock += 1;
-        if self.pages[self.mru] == page {
-            self.stamps[self.mru] = self.clock;
-            return (true, self.mru as u32);
+        let s = &mut self.slots[hint as usize];
+        if s.tag == page {
+            s.stamp = self.clock;
+            return (true, hint);
         }
         let h = (page as usize) & ((1usize << TLB_HINT_BITS) - 1);
-        let (hint_page, hint_slot) = self.hint[h];
-        if hint_page == page && self.pages[hint_slot as usize] == page {
-            self.stamps[hint_slot as usize] = self.clock;
-            self.mru = hint_slot as usize;
-            return (true, hint_slot);
+        let s = &mut self.slots[self.hint[h] as usize];
+        if s.tag == page {
+            s.stamp = self.clock;
+            return (true, self.hint[h]);
         }
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for i in 0..self.pages.len() {
-            if self.pages[i] == page {
-                self.stamps[i] = self.clock;
-                self.mru = i;
-                self.hint[h] = (page, i as u32);
-                return (true, i as u32);
-            }
-            if self.stamps[i] < oldest {
-                oldest = self.stamps[i];
-                victim = i;
-            }
-        }
-        self.pages[victim] = page;
-        self.stamps[victim] = self.clock;
-        self.mru = victim;
-        self.hint[h] = (page, victim as u32);
-        (false, victim as u32)
+        let (hit, i) = lru_access(&mut self.slots, page, self.clock);
+        self.hint[h] = i as u32;
+        (hit, i as u32)
     }
 }
 
@@ -824,40 +347,30 @@ pub struct MemoryHierarchy {
     /// in the TLB, so a follow-up access to the same line is *provably*
     /// an L1 + TLB hit whose only architectural effect is bumping the
     /// two LRU clocks and restamping the touched slots — which is what
-    /// the same-line fast path does, without any lookup.
+    /// the same-line shortcut does, without any lookup.
     last_line: u64,
     /// Slot in `caches[0]` holding `last_line`.
     last_l1_slot: u32,
     /// TLB entry holding `last_line`'s page.
     last_tlb_slot: u32,
-    /// Fast path requires at least one cache level and pages no smaller
-    /// than L1 lines (so same line implies same page).
+    /// The same-line shortcut requires at least one cache level and
+    /// pages no smaller than L1 lines (so same line implies same page).
     fast_ok: bool,
-    /// Fast-forward telemetry (not part of [`Counters`]).
-    stats: SimStats,
-    /// Consecutive event-dense fast-forward windows seen (see
-    /// [`FF_STRIKES`]); persists across segments because hostile phases
-    /// often run one window per segment.
-    ff_strikes: u32,
-    /// Remaining segments to walk outright before retrying fast-forward
-    /// (see [`FF_COOLDOWN`]).
-    ff_cooldown: u32,
     /// Reused segment-boundary scratch for [`MemoryHierarchy::access_streams`].
     scratch_cuts: Vec<i64>,
     /// Reused active-stream scratch for [`MemoryHierarchy::access_streams`].
     scratch_active: Vec<u32>,
-    /// Reused window scratch for [`MemoryHierarchy::ff_window`].
-    win: WindowScratch,
+    /// Per-stream walker state of [`MemoryHierarchy::access_streams`].
+    /// Kept between calls: a plan hands the same loop's streams over in
+    /// the same order on every entry, so each lane's remembered slots
+    /// are good first guesses for the stream at its index next time.
+    lanes: Vec<Lane>,
 }
 
 impl MemoryHierarchy {
     /// A cold hierarchy for the given machine.
     pub fn new(machine: &MachineDesc) -> Self {
         let caches: Vec<Cache> = machine.caches.iter().map(Cache::new).collect();
-        assert!(
-            caches.len() <= MAX_LEVELS,
-            "at most {MAX_LEVELS} cache levels supported"
-        );
         let fast_ok = caches
             .first()
             .map(|l1| machine.tlb.page_bytes.trailing_zeros() >= l1.line_bits)
@@ -879,141 +392,15 @@ impl MemoryHierarchy {
             last_l1_slot: 0,
             last_tlb_slot: 0,
             fast_ok,
-            stats: SimStats::default(),
-            ff_strikes: 0,
-            ff_cooldown: 0,
             scratch_cuts: Vec::new(),
             scratch_active: Vec::new(),
-            win: WindowScratch::default(),
-        }
-    }
-
-    /// Counts the issue cost of one access of `kind`.
-    #[inline]
-    fn count_issue(&mut self, kind: AccessKind) {
-        match kind {
-            AccessKind::Load => {
-                self.counters.loads += 1;
-                self.counters.cycles_x1000 += self.mem_issue_x1000;
-            }
-            AccessKind::Store => {
-                self.counters.stores += 1;
-                self.counters.cycles_x1000 += self.mem_issue_x1000;
-            }
-            AccessKind::Prefetch => {
-                self.counters.prefetches += 1;
-                self.counters.cycles_x1000 += self.prefetch_issue_x1000;
-            }
-        }
-    }
-
-    /// The same-line fast path: if `addr` falls on the line touched by
-    /// the immediately preceding access, apply the (statically known)
-    /// L1-hit/TLB-hit effects and return `true`. Exactly equivalent to
-    /// the full lookup for that case.
-    #[inline]
-    fn try_same_line(&mut self, addr: u64, kind: AccessKind) -> bool {
-        if !self.fast_ok {
-            return false;
-        }
-        let l1 = &mut self.caches[0];
-        if (addr >> l1.line_bits) != self.last_line {
-            return false;
-        }
-        l1.clock += 1;
-        l1.stamps[self.last_l1_slot as usize] = l1.clock;
-        self.tlb.clock += 1;
-        self.tlb.stamps[self.last_tlb_slot as usize] = self.tlb.clock;
-        self.count_issue(kind);
-        true
-    }
-
-    /// Simulates one access to byte address `addr`, attributing misses
-    /// to `tag` (e.g. the array id). Tags grow the per-tag table on
-    /// demand; use [`MemoryHierarchy::access`] when attribution is not
-    /// needed.
-    pub fn access_tagged(&mut self, addr: u64, kind: AccessKind, tag: usize) {
-        let levels = self.caches.len();
-        if self.counters.per_tag.len() <= tag {
-            self.counters.per_tag.resize_with(tag + 1, || TagCounters {
-                accesses: 0,
-                misses: vec![0; levels],
-                tlb_misses: 0,
-            });
-        }
-        if self.try_same_line(addr, kind) {
-            // a same-line hit misses nowhere: only the access count moves
-            if !matches!(kind, AccessKind::Prefetch) {
-                self.counters.per_tag[tag].accesses += 1;
-            }
-            return;
-        }
-        let mut before = [0u64; MAX_LEVELS];
-        before[..levels].copy_from_slice(&self.counters.cache_misses);
-        let tlb_before = self.counters.tlb_misses;
-        self.access_full(addr, kind);
-        let t = &mut self.counters.per_tag[tag];
-        if !matches!(kind, AccessKind::Prefetch) {
-            t.accesses += 1;
-        }
-        for (i, b) in before[..levels].iter().enumerate() {
-            t.misses[i] += self.counters.cache_misses[i] - b;
-        }
-        t.tlb_misses += self.counters.tlb_misses - tlb_before;
-    }
-
-    /// Simulates one access to byte address `addr`.
-    #[inline]
-    pub fn access(&mut self, addr: u64, kind: AccessKind) {
-        if self.try_same_line(addr, kind) {
-            return;
-        }
-        self.access_full(addr, kind);
-    }
-
-    /// The full (scan-every-level) access path.
-    fn access_full(&mut self, addr: u64, kind: AccessKind) {
-        let is_prefetch = matches!(kind, AccessKind::Prefetch);
-        self.count_issue(kind);
-        let (tlb_hit, tlb_slot) = self.tlb.access(addr);
-        if !tlb_hit {
-            self.counters.tlb_misses += 1;
-            self.counters.cycles_x1000 += self.tlb.miss_penalty_x1000;
-        }
-        let mut l1_slot = 0;
-        let mut filled_from_memory = true;
-        for (i, cache) in self.caches.iter_mut().enumerate() {
-            let (hit, slot) = cache.access(addr);
-            if i == 0 {
-                l1_slot = slot;
-            }
-            if !hit {
-                if is_prefetch {
-                    self.counters.prefetch_fills[i] += 1;
-                } else {
-                    self.counters.cache_misses[i] += 1;
-                    self.counters.cycles_x1000 += cache.miss_penalty_x1000;
-                }
-            }
-            if hit {
-                filled_from_memory = false;
-                break;
-            }
-        }
-        if filled_from_memory {
-            // The line came from main memory: bus occupancy is paid whether
-            // or not the latency was hidden.
-            self.counters.cycles_x1000 += self.bandwidth_per_line_x1000;
-        }
-        if self.fast_ok {
-            self.last_line = addr >> self.caches[0].line_bits;
-            self.last_l1_slot = l1_slot;
-            self.last_tlb_slot = tlb_slot;
+            lanes: Vec::new(),
         }
     }
 
     /// Counts the issue cost of `k` accesses of `kind` (counters and
-    /// cycles only — no clock or stamp movement).
+    /// cycles only — no clock or stamp movement). Counters are sums, so
+    /// issue costs may be added in any order relative to the lookups.
     #[inline]
     fn bulk_issue(&mut self, k: u64, kind: AccessKind) {
         match kind {
@@ -1032,6 +419,131 @@ impl MemoryHierarchy {
         }
     }
 
+    /// Grows the per-tag table to hold `tag`.
+    fn grow_tags(&mut self, tag: usize) {
+        let levels = self.caches.len();
+        if self.counters.per_tag.len() <= tag {
+            self.counters.per_tag.resize_with(tag + 1, || TagCounters {
+                accesses: 0,
+                misses: vec![0; levels],
+                tlb_misses: 0,
+            });
+        }
+    }
+
+    /// The lane state a lone access starts from: the slots of the
+    /// previous access, which is all a lone access has to go on.
+    fn last_memo(&self) -> Memo {
+        Memo {
+            l1: self.last_l1_slot,
+            tlb: self.last_tlb_slot,
+        }
+    }
+
+    /// Simulates one access to byte address `addr`, attributing misses
+    /// to `tag` (e.g. the array id). Tags grow the per-tag table on
+    /// demand; use [`MemoryHierarchy::access`] when attribution is not
+    /// needed.
+    pub fn access_tagged(&mut self, addr: u64, kind: AccessKind, tag: usize) {
+        self.grow_tags(tag);
+        self.bulk_issue(1, kind);
+        let prefetch = matches!(kind, AccessKind::Prefetch);
+        if !prefetch {
+            self.counters.per_tag[tag].accesses += 1;
+        }
+        let mut memo = self.last_memo();
+        self.touch::<true>(addr, prefetch, &mut memo, tag);
+    }
+
+    /// Simulates one access to byte address `addr`.
+    #[inline]
+    pub fn access(&mut self, addr: u64, kind: AccessKind) {
+        self.bulk_issue(1, kind);
+        let mut memo = self.last_memo();
+        self.touch::<false>(addr, matches!(kind, AccessKind::Prefetch), &mut memo, 0);
+    }
+
+    /// Everything one access does except count its issue: the TLB and
+    /// cache lookups, fills, miss penalties and (when `ATTR`) the miss
+    /// attribution to `tag`. `memo` is the issuing lane's remembered
+    /// slots, updated to the slots this access touched.
+    ///
+    /// The first of these that applies serves the access:
+    ///
+    /// 1. the same-line shortcut (the previous access, by any lane, was
+    ///    to this line: tick both clocks, restamp both slots);
+    /// 2. the lane's remembered L1 slot and TLB entry, each accepted
+    ///    only if it still holds this line (page);
+    /// 3. the set search and TLB lookup, then the lower levels on an L1
+    ///    miss.
+    ///
+    /// Each verified hit ticks the clock and restamps the slot, exactly
+    /// what the search would have done on finding the line there. An L1
+    /// hit never reaches the lower levels, so nothing below L1 is read.
+    #[inline(always)]
+    fn touch<const ATTR: bool>(&mut self, addr: u64, prefetch: bool, memo: &mut Memo, tag: usize) {
+        let Some(l1) = self.caches.first_mut() else {
+            self.touch_tlb::<ATTR>(addr, memo, tag);
+            return self.fill::<ATTR>(addr, prefetch, tag);
+        };
+        let line = addr >> l1.line_bits;
+        if self.fast_ok && line == self.last_line {
+            l1.clock += 1;
+            l1.slots[self.last_l1_slot as usize].stamp = l1.clock;
+            self.tlb.clock += 1;
+            self.tlb.slots[self.last_tlb_slot as usize].stamp = self.tlb.clock;
+            *memo = self.last_memo();
+            return;
+        }
+        let (l1_hit, l1_slot) = l1.access(line, memo.l1);
+        memo.l1 = l1_slot;
+        self.touch_tlb::<ATTR>(addr, memo, tag);
+        if !l1_hit {
+            self.fill::<ATTR>(addr, prefetch, tag);
+        }
+        self.last_line = line;
+        self.last_l1_slot = l1_slot;
+        self.last_tlb_slot = memo.tlb;
+    }
+
+    /// The TLB half of [`MemoryHierarchy::touch`].
+    #[inline(always)]
+    fn touch_tlb<const ATTR: bool>(&mut self, addr: u64, memo: &mut Memo, tag: usize) {
+        let (hit, slot) = self.tlb.access(addr >> self.tlb.page_bits, memo.tlb);
+        memo.tlb = slot;
+        if !hit {
+            self.counters.tlb_misses += 1;
+            self.counters.cycles_x1000 += self.tlb.miss_penalty_x1000;
+            if ATTR {
+                self.counters.per_tag[tag].tlb_misses += 1;
+            }
+        }
+    }
+
+    /// An L1 miss (already filled into L1 by the lookup): counts it and
+    /// walks the lower levels until one hits, counting a miss at each
+    /// level that does not.
+    fn fill<const ATTR: bool>(&mut self, addr: u64, prefetch: bool, tag: usize) {
+        for i in 0..self.caches.len() {
+            let cache = &mut self.caches[i];
+            if i > 0 && cache.access(addr >> cache.line_bits, 0).0 {
+                return;
+            }
+            if prefetch {
+                self.counters.prefetch_fills[i] += 1;
+            } else {
+                self.counters.cache_misses[i] += 1;
+                self.counters.cycles_x1000 += cache.miss_penalty_x1000;
+                if ATTR {
+                    self.counters.per_tag[tag].misses[i] += 1;
+                }
+            }
+        }
+        // The line came from main memory: bus occupancy is paid whether
+        // or not the latency was hidden.
+        self.counters.cycles_x1000 += self.bandwidth_per_line_x1000;
+    }
+
     /// Services a whole batch of strided access streams in one pass —
     /// exactly equivalent to the interleaved per-access loop
     ///
@@ -1046,21 +558,15 @@ impl MemoryHierarchy {
     /// ```
     ///
     /// (or `access_tagged` with each stream's tag when `attribute` is
-    /// set), but batched. The trip range is first cut at the streams'
-    /// validity boundaries so each segment has a constant active set;
-    /// within a segment the simulator repeatedly tries to *fast-forward*
-    /// a window of iterations: it probes (purely — no state change)
-    /// every cache line and TLB page the window touches, and when all
-    /// are resident, every access in the window is an L1 + TLB hit, so
-    /// no line is filled, nothing is evicted, and residency holds for
-    /// the whole window by induction. The window's effect on the
-    /// architectural state is then applied arithmetically: bulk issue
-    /// costs, bulk L1/TLB clock advances, and per-slot LRU stamps
-    /// computed from each line's last toucher — bit-identical to the
-    /// walked result. Windows where probing finds a non-resident line
-    /// are walked access-by-access up to the miss, with exponential
-    /// backoff on re-probing so streaming (never-resident) phases pay a
-    /// bounded probe overhead.
+    /// set), but batched. The trip range is cut at the streams'
+    /// validity boundaries so each segment has a constant active set.
+    /// A segment's issue counts are added in bulk, one multiply per
+    /// stream; then its accesses are walked in the loop's order, each
+    /// stream (lane) trying the L1 slot and TLB entry it touched last
+    /// before any search, and trusting each only once it is checked to
+    /// still hold the line (page). Every lookup still happens, in the
+    /// same order, with the same clock ticks and restamps, so the result
+    /// is bit-identical to the loop above.
     ///
     /// The caller must guarantee every in-window address is mapped;
     /// strides may be zero or negative.
@@ -1069,23 +575,25 @@ impl MemoryHierarchy {
             return;
         }
         if attribute {
-            let levels = self.caches.len();
             let max_tag = streams.iter().map(|s| s.tag as usize).max().unwrap_or(0);
-            if self.counters.per_tag.len() <= max_tag {
-                self.counters
-                    .per_tag
-                    .resize_with(max_tag + 1, || TagCounters {
-                        accesses: 0,
-                        misses: vec![0; levels],
-                        tlb_misses: 0,
-                    });
-            }
-            if self.stats.per_tag_ff.len() <= max_tag {
-                self.stats.per_tag_ff.resize(max_tag + 1, 0);
-            }
+            self.grow_tags(max_tag);
         }
         let mut cuts = std::mem::take(&mut self.scratch_cuts);
         let mut active = std::mem::take(&mut self.scratch_active);
+        let mut lanes = std::mem::take(&mut self.lanes);
+        let start = self.last_memo();
+        lanes.resize(
+            streams.len(),
+            Lane {
+                memo: start,
+                ..Lane::default()
+            },
+        );
+        for (lane, s) in lanes.iter_mut().zip(streams) {
+            lane.stride = s.stride as u64;
+            lane.prefetch = matches!(s.kind, AccessKind::Prefetch);
+            lane.tag = s.tag;
+        }
         cuts.clear();
         cuts.push(0);
         cuts.push(trips);
@@ -1102,742 +610,39 @@ impl MemoryHierarchy {
         for w in 0..cuts.len() - 1 {
             let (t0, t1) = (cuts[w], cuts[w + 1]);
             active.clear();
-            active.extend(
-                streams
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.vlo <= t0 && t0 <= s.vhi)
-                    .map(|(i, _)| i as u32),
-            );
-            if !active.is_empty() {
-                self.run_segment(streams, &active, t0, t1, attribute);
+            for (i, s) in streams.iter().enumerate() {
+                if s.vlo <= t0 && t0 <= s.vhi {
+                    active.push(i as u32);
+                    let n = (t1 - t0) as u64;
+                    self.bulk_issue(n, s.kind);
+                    if attribute && !matches!(s.kind, AccessKind::Prefetch) {
+                        self.counters.per_tag[s.tag as usize].accesses += n;
+                    }
+                    lanes[i].addr = (s.base as u64).wrapping_add_signed(s.stride.wrapping_mul(t0));
+                }
+            }
+            if attribute {
+                self.walk::<true>(&mut lanes, &active, t1 - t0);
+            } else {
+                self.walk::<false>(&mut lanes, &active, t1 - t0);
             }
         }
         self.scratch_cuts = cuts;
         self.scratch_active = active;
+        self.lanes = lanes;
     }
 
-    /// One segment of [`MemoryHierarchy::access_streams`]: a trip range
-    /// `[t0, t1)` over which the active stream set is constant.
-    fn run_segment(
-        &mut self,
-        streams: &[StreamSpec],
-        active: &[u32],
-        t0: i64,
-        t1: i64,
-        attribute: bool,
-    ) {
-        // ECO_NO_FF forces the plain walker; results are identical
-        // either way (fast-forward is exact), so this is purely a
-        // debugging / benchmarking escape hatch.
-        static NO_FF: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        let no_ff = *NO_FF.get_or_init(|| std::env::var_os("ECO_NO_FF").is_some());
-        let mut ff_on = self.fast_ok && !no_ff;
-        if ff_on && self.ff_cooldown > 0 {
-            self.ff_cooldown -= 1;
-            ff_on = false;
-        }
-        if !ff_on {
-            // Straight walk: no window scratch, no horizon bookkeeping.
-            for u in t0..t1 {
-                for &si in active {
-                    let s = &streams[si as usize];
-                    let addr = (s.base as u64).wrapping_add_signed(s.stride.wrapping_mul(u));
-                    if attribute {
-                        self.access_tagged(addr, s.kind, s.tag as usize);
-                    } else {
-                        self.access(addr, s.kind);
-                    }
-                }
-            }
-            return;
-        }
-        let mut win = std::mem::take(&mut self.win);
-        let mut h_cap = FF_HORIZON_MAX;
-        if ff_on {
-            // Deduplicate the active streams into lanes: unrolled loop
-            // bodies repeat the same (base, stride) many times, and all
-            // copies touch the same blocks on the same iteration.
-            win.lanes.clear();
-            win.lane_of.clear();
-            for &si in active {
-                let s = &streams[si as usize];
-                let li = win
-                    .lanes
-                    .iter()
-                    .position(|l| {
-                        l.base == s.base
-                            && l.stride == s.stride
-                            && l.kind == s.kind
-                            && l.tag == s.tag
-                    })
-                    .unwrap_or_else(|| {
-                        win.lanes.push(Lane {
-                            base: s.base,
-                            stride: s.stride,
-                            kind: s.kind,
-                            tag: s.tag,
-                            pos_lo: 0,
-                            pos_hi: 0,
-                        });
-                        win.lanes.len() - 1
-                    });
-                win.lane_of.push(li as u32);
-            }
-            // Group the active positions by lane (counting scatter keeps
-            // them ascending within a lane) and record each lane's range.
-            let k = active.len();
-            win.lane_pos.clear();
-            win.lane_pos.resize(k, 0);
-            win.scatter.clear();
-            win.scatter.resize(win.lanes.len(), 0);
-            for &li in &win.lane_of {
-                win.scatter[li as usize] += 1;
-            }
-            let mut at = 0u32;
-            for (li, lane) in win.lanes.iter_mut().enumerate() {
-                lane.pos_lo = at;
-                at += win.scatter[li];
-                lane.pos_hi = at;
-                win.scatter[li] = lane.pos_lo;
-            }
-            for (p, &li) in win.lane_of.iter().enumerate() {
-                let c = &mut win.scatter[li as usize];
-                win.lane_pos[*c as usize] = p as u32;
-                *c += 1;
-            }
-            // Merge lanes into per-domain block-lanes: lanes proven to
-            // land in the same line (or page) every iteration are probed
-            // and stamped once per domain.
-            win.lane_order.clear();
-            win.lane_order.extend(0..win.lanes.len() as u32);
-            {
-                let lanes = &win.lanes;
-                win.lane_order.sort_unstable_by_key(|&li| {
-                    let l = &lanes[li as usize];
-                    (l.stride, l.base)
-                });
-            }
-            build_block_lanes(
-                &win.lanes,
-                &win.lane_order,
-                self.caches[0].line_bits,
-                &mut win.bl_l,
-                &mut win.bl_of_l,
-            );
-            build_block_lanes(
-                &win.lanes,
-                &win.lane_order,
-                self.tlb.page_bits,
-                &mut win.bl_p,
-                &mut win.bl_of_p,
-            );
-            {
-                let lane_of = &win.lane_of;
-                let bl_of_l = &win.bl_of_l;
-                scatter_positions(
-                    k,
-                    |p| bl_of_l[lane_of[p] as usize] as usize,
-                    &mut win.bl_l,
-                    &mut win.blpos_l,
-                    &mut win.scatter,
-                );
-                let bl_of_p = &win.bl_of_p;
-                scatter_positions(
-                    k,
-                    |p| bl_of_p[lane_of[p] as usize] as usize,
-                    &mut win.bl_p,
-                    &mut win.blpos_p,
-                    &mut win.scatter,
-                );
-            }
-            // Window cap: keep the total number of probed line groups
-            // per window bounded, so one failed probe round costs
-            // O(FF_GROUP_BUDGET). A block-lane of stride `s` starts
-            // about `min(|s|, line) / line` new line groups per
-            // iteration; sum that density (in 1/1024ths) over them.
-            let line = 1i64 << self.caches[0].line_bits;
-            let mut density = 0i64;
-            for bl in &win.bl_l {
-                let st = bl.stride.unsigned_abs() as i64;
-                density += st.min(line) * 1024 / line;
-            }
-            if density > 0 {
-                h_cap = (FF_GROUP_BUDGET * 1024 / density).max(4);
+    /// Walks `trips` iterations of the `active` lanes, in order, from
+    /// each lane's current address; issue counts are the caller's.
+    fn walk<const ATTR: bool>(&mut self, lanes: &mut [Lane], active: &[u32], trips: i64) {
+        for _ in 0..trips {
+            for &i in active {
+                let lane = &mut lanes[i as usize];
+                let addr = lane.addr;
+                lane.addr = addr.wrapping_add(lane.stride);
+                self.touch::<ATTR>(addr, lane.prefetch, &mut lane.memo, lane.tag as usize);
             }
         }
-        let mut horizon: i64 = 16;
-        let mut walk_len: i64 = 1;
-        let mut t = t0;
-        while t < t1 {
-            if ff_on {
-                let h = horizon.min(h_cap).min(t1 - t);
-                let (t_ff, nev, ngrp) = self.ff_window(streams, active, &mut win, t, h, attribute);
-                // A window dominated by events — or one whose group
-                // enumeration is large relative to the accesses it
-                // covers — costs more to orchestrate than the walk it
-                // replaces. A few of those in a row (counted across
-                // segments — hostile phases often run one window per
-                // segment) and fast-forward is suspended for
-                // FF_COOLDOWN segments.
-                let covered = (t_ff - t) * active.len() as i64;
-                if covered == 0 || (nev as i64) * 16 >= covered || (ngrp as i64) * 6 > covered {
-                    self.ff_strikes += 1;
-                    if self.ff_strikes >= FF_STRIKES {
-                        self.ff_strikes = 0;
-                        self.ff_cooldown = FF_COOLDOWN;
-                        ff_on = false;
-                    }
-                } else {
-                    self.ff_strikes = 0;
-                }
-                if t_ff == t + h {
-                    t = t_ff;
-                    if ff_on {
-                        horizon = (horizon * 2).min(FF_HORIZON_MAX);
-                        walk_len = 1;
-                        continue;
-                    }
-                } else if t_ff > t {
-                    t = t_ff;
-                    walk_len = 1;
-                } else {
-                    walk_len = (walk_len * 2).min(FF_WALK_MAX);
-                }
-                horizon = (horizon / 2).max(16);
-                if t >= t1 {
-                    break;
-                }
-            }
-            let wend = if ff_on { (t + walk_len).min(t1) } else { t1 };
-            for u in t..wend {
-                for &si in active {
-                    let s = &streams[si as usize];
-                    let addr = (s.base as u64).wrapping_add_signed(s.stride.wrapping_mul(u));
-                    if attribute {
-                        self.access_tagged(addr, s.kind, s.tag as usize);
-                    } else {
-                        self.access(addr, s.kind);
-                    }
-                }
-            }
-            t = wend;
-        }
-        self.win = win;
-    }
-
-    /// Attempts to fast-forward the window `[t0, t0 + h)` of the active
-    /// streams and returns the iteration reached (`t0` when nothing
-    /// could be fast-forwarded and the caller should walk) plus the
-    /// number of walk events the attempt accumulated — the caller's
-    /// event-density measure for striking out of fast-forward.
-    ///
-    /// The window is *sparse-event*: every touched L1 line and TLB page
-    /// is probed purely, splitting the window's accesses into bulked
-    /// hits (line and page both resident — their only architectural
-    /// effect is an issue count, a clock tick on L1 + TLB, and an LRU
-    /// restamp of the touched slots) and walk *events* (line or page
-    /// probed absent — victim choice, fills, and penalties depend on
-    /// live state). Events are replayed exactly, in global order, with
-    /// the L1/TLB clocks set to their walk-time values and all earlier
-    /// covered restamps flushed first so LRU victim selection sees the
-    /// stamps a real walk would have. Bulked effects are applied
-    /// arithmetically (the per-slot stamp of a group's last toucher,
-    /// max-merged so shared lines resolve to the true last toucher).
-    ///
-    /// Residency probed at window start stays valid until something is
-    /// evicted, and only events evict: after each event the (exactly
-    /// replicated) victim is checked against every probed window block,
-    /// and on collision the window is truncated at that event — the
-    /// rest of its iteration is walked and the remainder of the window
-    /// is re-probed by the caller. By induction the bulked accesses are
-    /// bit-identical to a walk.
-    fn ff_window(
-        &mut self,
-        streams: &[StreamSpec],
-        active: &[u32],
-        win: &mut WindowScratch,
-        t0: i64,
-        h: i64,
-        attribute: bool,
-    ) -> (i64, u32, u32) {
-        let te = t0 + h;
-        let k = active.len();
-        let kk = k as i64;
-        // Representability precheck: addresses are linear in t, so both
-        // endpoints being mapped covers the whole window. A failure
-        // falls back to the walker, which reproduces the reference
-        // wrapping arithmetic exactly.
-        for lane in &win.lanes {
-            if stream_addr(lane.base, lane.stride, t0).is_none()
-                || stream_addr(lane.base, lane.stride, te - 1).is_none()
-            {
-                return (t0, 0, 0);
-            }
-        }
-        win.lg.clear();
-        win.pg.clear();
-        win.lg_range.clear();
-        win.pg_range.clear();
-        win.events_l.clear();
-        win.events_p.clear();
-        let lb = self.caches[0].line_bits;
-        let pb = self.tlb.page_bits;
-        for bl in &win.bl_l {
-            // The block's first toucher on any iteration is the block-
-            // lane's first active position; the walk access there is
-            // that position's issue lane.
-            let first_pos = win.blpos_l[bl.pos_lo as usize];
-            let lane = win.lane_of[first_pos as usize];
-            let l_start = win.lg.len() as u32;
-            let l1 = &self.caches[0];
-            enum_groups(
-                bl.base,
-                bl.stride,
-                lb,
-                t0,
-                te,
-                |b| l1.probe(b),
-                &mut win.lg,
-                &mut win.events_l,
-                lane,
-                first_pos,
-            );
-            win.lg_range.push((l_start, win.lg.len() as u32));
-        }
-        for bl in &win.bl_p {
-            let first_pos = win.blpos_p[bl.pos_lo as usize];
-            let lane = win.lane_of[first_pos as usize];
-            let p_start = win.pg.len() as u32;
-            let tlb = &self.tlb;
-            enum_groups(
-                bl.base,
-                bl.stride,
-                pb,
-                t0,
-                te,
-                |b| tlb.probe(b),
-                &mut win.pg,
-                &mut win.events_p,
-                lane,
-                first_pos,
-            );
-            win.pg_range.push((p_start, win.pg.len() as u32));
-        }
-        // Keep only the *first* touch of each probed-absent block as a
-        // walk event: it fills the block, so every later touch — same
-        // lane or not — is a plain hit, bulked like any other (its slot
-        // is patched in when the first touch walks). Then merge the two
-        // domains: one access can raise both a line and a page event.
-        for evs in [&mut win.events_l, &mut win.events_p] {
-            evs.sort_unstable_by_key(|e| (e.block, e.t, e.pos));
-            evs.dedup_by_key(|e| e.block);
-        }
-        win.events.clear();
-        win.events.extend_from_slice(&win.events_l);
-        win.events.extend_from_slice(&win.events_p);
-        win.events.sort_unstable_by_key(|e| (e.t, e.pos));
-        win.events.dedup_by_key(|e| (e.t, e.pos));
-        // A window this dense in real misses is cheaper to walk outright
-        // than to orchestrate (no state touched yet — bail is free).
-        if (win.events.len() as i64) * 2 >= kk * h {
-            return (t0, win.events.len() as u32, 0);
-        }
-        let nlanes = win.lanes.len();
-        // Sorted by-block indexes: patching fill slots and demoting
-        // evicted blocks both look groups up by block, and a linear scan
-        // per event is quadratic in window size.
-        win.lg_idx.clear();
-        for (li, &(lo, hi)) in win.lg_range.iter().enumerate() {
-            for gi in lo..hi {
-                win.lg_idx.push((win.lg[gi as usize].block, gi, li as u32));
-            }
-        }
-        win.lg_idx.sort_unstable();
-        win.pg_idx.clear();
-        for (li, &(lo, hi)) in win.pg_range.iter().enumerate() {
-            for gi in lo..hi {
-                win.pg_idx.push((win.pg[gi as usize].block, gi, li as u32));
-            }
-        }
-        win.pg_idx.sort_unstable();
-        // Expiry-ordered group lists drive the amortized stamp flush:
-        // a group's expiry is the global position of its last toucher
-        // (its block-lane's last copy on its last iteration).
-        win.exp_l.clear();
-        for (bli, &(lo, hi)) in win.lg_range.iter().enumerate() {
-            let bl = &win.bl_l[bli];
-            let p_last = win.blpos_l[bl.pos_hi as usize - 1] as i64;
-            for gi in lo..hi {
-                win.exp_l.push((
-                    (win.lg[gi as usize].t_last - t0) * kk + p_last,
-                    gi,
-                    bli as u32,
-                ));
-            }
-        }
-        win.exp_l.sort_unstable();
-        win.exp_p.clear();
-        for (bli, &(lo, hi)) in win.pg_range.iter().enumerate() {
-            let bl = &win.bl_p[bli];
-            let p_last = win.blpos_p[bl.pos_hi as usize - 1] as i64;
-            for gi in lo..hi {
-                win.exp_p.push((
-                    (win.pg[gi as usize].t_last - t0) * kk + p_last,
-                    gi,
-                    bli as u32,
-                ));
-            }
-        }
-        win.exp_p.sort_unstable();
-        let mut exp_cur_l = 0usize;
-        let mut exp_cur_p = 0usize;
-        win.lg_cur.clear();
-        win.lg_cur.extend(win.lg_range.iter().map(|r| r.0));
-        win.pg_cur.clear();
-        win.pg_cur.extend(win.pg_range.iter().map(|r| r.0));
-        let l1_clock0 = self.caches[0].clock;
-        let tlb_clock0 = self.tlb.clock;
-        win.walked.clear();
-        win.walked.resize(nlanes, 0);
-        // Exclusive global position bound of the accounted (covered)
-        // prefix; shrinks if an event storm truncates the window.
-        let mut covered_end_g = kk * h;
-        let mut truncated: Option<WinEvent> = None;
-        // Demotions synthesize new events mid-replay; past this many the
-        // window has degenerated into a walk and is cut short (truncation
-        // at an already-replayed event is always exact).
-        let ev_cap = ((kk * h) / 2) as usize;
-        let mut ei = 0;
-        while ei < win.events.len() {
-            let e = win.events[ei];
-            let g_e = (e.t - t0) * kk + e.pos as i64;
-            self.caches[0].clock = l1_clock0 + g_e as u64;
-            self.tlb.clock = tlb_clock0 + g_e as u64;
-            let lane = win.lanes[e.lane as usize];
-            let addr = stream_addr(lane.base, lane.stride, e.t).expect("prechecked window") as u64;
-            let line = addr >> lb;
-            let page = addr >> pb;
-            // Replicate the victim choices the access is about to make
-            // (first slot with a strictly smaller stamp wins, exactly as
-            // in `Cache::access` / `Tlb::access`) so evictions can be
-            // checked against the window's assumptions afterwards.
-            let l1_evicted = if self.caches[0].probe(line).is_none() {
-                let set = (line & self.caches[0].set_mask) as usize;
-                let ways = self.caches[0].ways;
-                // Victim selection reads this set's stamps: every
-                // covered access before the event must have restamped
-                // first. The advance (full groups) is amortized and
-                // runs only when a domain actually misses; the boundary
-                // partial stamps are written just for the slots this
-                // selection reads.
-                advance_exp(
-                    &win.exp_l,
-                    &mut exp_cur_l,
-                    &win.lg,
-                    &mut win.lg_cur,
-                    &mut self.caches[0].stamps,
-                    l1_clock0,
-                    g_e,
-                );
-                partial_stamp(
-                    &win.lg,
-                    &win.lg_cur,
-                    &win.lg_range,
-                    &win.bl_l,
-                    &win.blpos_l,
-                    &mut self.caches[0].stamps,
-                    l1_clock0,
-                    t0,
-                    kk,
-                    g_e,
-                    |s| s as usize / ways == set,
-                );
-                let l1 = &self.caches[0];
-                let base = set * ways;
-                let mut victim = base;
-                let mut oldest = u64::MAX;
-                for i in base..base + ways {
-                    if l1.stamps[i] < oldest {
-                        oldest = l1.stamps[i];
-                        victim = i;
-                    }
-                }
-                l1.tags[victim]
-            } else {
-                INVALID
-            };
-            let tlb_evicted = if self.tlb.probe(page).is_none() {
-                advance_exp(
-                    &win.exp_p,
-                    &mut exp_cur_p,
-                    &win.pg,
-                    &mut win.pg_cur,
-                    &mut self.tlb.stamps,
-                    tlb_clock0,
-                    g_e,
-                );
-                partial_stamp(
-                    &win.pg,
-                    &win.pg_cur,
-                    &win.pg_range,
-                    &win.bl_p,
-                    &win.blpos_p,
-                    &mut self.tlb.stamps,
-                    tlb_clock0,
-                    t0,
-                    kk,
-                    g_e,
-                    |_| true,
-                );
-                let mut victim = 0;
-                let mut oldest = u64::MAX;
-                for (i, &st) in self.tlb.stamps.iter().enumerate() {
-                    if st < oldest {
-                        oldest = st;
-                        victim = i;
-                    }
-                }
-                self.tlb.pages[victim]
-            } else {
-                INVALID
-            };
-            if attribute {
-                self.access_tagged(addr, lane.kind, lane.tag as usize);
-            } else {
-                self.access(addr, lane.kind);
-            }
-            win.walked[e.lane as usize] += 1;
-            // The fill slots become known only now: patch them into
-            // every probed-absent group on the same block (any lane) so
-            // later bulked touches restamp them.
-            if let Some(slot) = self.caches[0].probe(line) {
-                let lo = win.lg_idx.partition_point(|&(b, _, _)| b < line);
-                for &(b, gi, _) in &win.lg_idx[lo..] {
-                    if b != line {
-                        break;
-                    }
-                    let g = &mut win.lg[gi as usize];
-                    if g.slot == WIN_MISS {
-                        g.slot = slot;
-                    }
-                }
-            }
-            if let Some(slot) = self.tlb.probe(page) {
-                let lo = win.pg_idx.partition_point(|&(b, _, _)| b < page);
-                for &(b, gi, _) in &win.pg_idx[lo..] {
-                    if b != page {
-                        break;
-                    }
-                    let g = &mut win.pg[gi as usize];
-                    if g.slot == WIN_MISS {
-                        g.slot = slot;
-                    }
-                }
-            }
-            // Eviction of a block with *remaining* bulked touches would
-            // invalidate the window's residency assumption — demote
-            // those groups to absent and synthesize a walk event at the
-            // block's next touch, which refills it (fully-consumed
-            // groups no longer assume anything, and a [`WIN_MISS`] group
-            // assumes absence, which eviction cannot invalidate).
-            let mut synth: [Option<(i64, u32, u64)>; 2] = [None, None];
-            if l1_evicted != INVALID {
-                synth[0] = demote_block(
-                    &mut win.lg,
-                    &win.lg_idx,
-                    &win.lg_cur,
-                    &win.bl_l,
-                    &win.blpos_l,
-                    l1_evicted,
-                    t0,
-                    kk,
-                    g_e,
-                )
-                .map(|(t, p)| (t, p, l1_evicted));
-            }
-            if tlb_evicted != INVALID {
-                synth[1] = demote_block(
-                    &mut win.pg,
-                    &win.pg_idx,
-                    &win.pg_cur,
-                    &win.bl_p,
-                    &win.blpos_p,
-                    tlb_evicted,
-                    t0,
-                    kk,
-                    g_e,
-                )
-                .map(|(t, p)| (t, p, tlb_evicted));
-            }
-            let mut cut = false;
-            for s in synth.into_iter().flatten() {
-                let (t, p, block) = s;
-                if win.events.len() >= ev_cap {
-                    cut = true;
-                    break;
-                }
-                let at =
-                    ei + 1 + win.events[ei + 1..].partition_point(|e2| (e2.t, e2.pos) < (t, p));
-                // An event already replaying that very access services
-                // both domains (it walks the real access): skip.
-                if win
-                    .events
-                    .get(at)
-                    .is_some_and(|e2| e2.t == t && e2.pos == p)
-                {
-                    continue;
-                }
-                win.events.insert(
-                    at,
-                    WinEvent {
-                        t,
-                        pos: p,
-                        lane: win.lane_of[p as usize],
-                        block,
-                    },
-                );
-            }
-            if cut {
-                covered_end_g = g_e + 1;
-                truncated = Some(e);
-                break;
-            }
-            ei += 1;
-        }
-        // Stamp every remaining covered touch and move the clocks to the
-        // end of the covered prefix (events already ticked them along
-        // the way; the absolute store subsumes those ticks).
-        advance_exp(
-            &win.exp_l,
-            &mut exp_cur_l,
-            &win.lg,
-            &mut win.lg_cur,
-            &mut self.caches[0].stamps,
-            l1_clock0,
-            covered_end_g,
-        );
-        partial_stamp(
-            &win.lg,
-            &win.lg_cur,
-            &win.lg_range,
-            &win.bl_l,
-            &win.blpos_l,
-            &mut self.caches[0].stamps,
-            l1_clock0,
-            t0,
-            kk,
-            covered_end_g,
-            |_| true,
-        );
-        advance_exp(
-            &win.exp_p,
-            &mut exp_cur_p,
-            &win.pg,
-            &mut win.pg_cur,
-            &mut self.tlb.stamps,
-            tlb_clock0,
-            covered_end_g,
-        );
-        partial_stamp(
-            &win.pg,
-            &win.pg_cur,
-            &win.pg_range,
-            &win.bl_p,
-            &win.blpos_p,
-            &mut self.tlb.stamps,
-            tlb_clock0,
-            t0,
-            kk,
-            covered_end_g,
-            |_| true,
-        );
-        self.caches[0].clock = l1_clock0 + covered_end_g as u64;
-        self.tlb.clock = tlb_clock0 + covered_end_g as u64;
-        // Issue costs and attribution for the bulked accesses (events
-        // already counted themselves when they walked).
-        let mut ff_total = 0u64;
-        for (li, lane) in win.lanes.iter().enumerate() {
-            let mut covered = 0u64;
-            for &p in &win.lane_pos[lane.pos_lo as usize..lane.pos_hi as usize] {
-                if covered_end_g > p as i64 {
-                    covered += ((covered_end_g - 1 - p as i64) / kk + 1) as u64;
-                }
-            }
-            let bulk = covered - win.walked[li] as u64;
-            self.bulk_issue(bulk, lane.kind);
-            if attribute && !matches!(lane.kind, AccessKind::Prefetch) {
-                self.counters.per_tag[lane.tag as usize].accesses += bulk;
-                self.stats.per_tag_ff[lane.tag as usize] += bulk;
-            }
-            ff_total += bulk;
-        }
-        self.stats.ff_windows += 1;
-        self.stats.ff_accesses += ff_total;
-        let nev = win.events.len() as u32;
-        let ngrp = (win.lg.len() + win.pg.len()) as u32;
-        if let Some(e) = truncated {
-            // The truncating event already left the same-line shortcut
-            // state (`last_*`) describing itself, exactly as a walk
-            // would. Walk out the rest of its iteration; the caller
-            // re-probes from the next one.
-            for pos in (e.pos as usize + 1)..k {
-                let s = &streams[active[pos] as usize];
-                let addr = (s.base as u64).wrapping_add_signed(s.stride.wrapping_mul(e.t));
-                if attribute {
-                    self.access_tagged(addr, s.kind, s.tag as usize);
-                } else {
-                    self.access(addr, s.kind);
-                }
-            }
-            (e.t + 1, nev, ngrp)
-        } else {
-            // The same-line shortcut state must describe the window's
-            // final access, exactly as a walk would have left it. (If
-            // that access was itself an event it already did; the probe
-            // then just re-reads the slots it recorded.)
-            let s = &streams[*active.last().expect("non-empty active set") as usize];
-            let addr = stream_addr(s.base, s.stride, te - 1).expect("prechecked window");
-            self.last_line = (addr >> lb) as u64;
-            self.last_l1_slot = self.caches[0]
-                .probe(self.last_line)
-                .expect("covered window");
-            self.last_tlb_slot = self.tlb.probe((addr >> pb) as u64).expect("covered window");
-            (te, nev, ngrp)
-        }
-    }
-
-    /// Simulates `count` accesses at `base, base + stride, base +
-    /// 2·stride, …` — exactly equivalent to the per-access loop
-    ///
-    /// ```ignore
-    /// for t in 0..count { h.access(base + t * stride, kind) }
-    /// ```
-    ///
-    /// (or `access_tagged` when `tag` is given). A single-stream
-    /// convenience wrapper over [`MemoryHierarchy::access_streams`],
-    /// which batches line runs and fast-forwards provably-resident
-    /// windows.
-    ///
-    /// The caller must guarantee every address in the run is mapped
-    /// (in-bounds); `stride` may be zero or negative.
-    pub fn access_run(
-        &mut self,
-        base: u64,
-        stride: i64,
-        count: u64,
-        kind: AccessKind,
-        tag: Option<usize>,
-    ) {
-        let spec = StreamSpec {
-            base: base as i64,
-            stride,
-            vlo: 0,
-            vhi: count as i64 - 1,
-            kind,
-            tag: tag.unwrap_or(0) as u32,
-        };
-        self.access_streams(&[spec], count as i64, tag.is_some());
     }
 
     /// Adds `n` floating-point operations to the cost.
@@ -1857,21 +662,9 @@ impl MemoryHierarchy {
         &self.counters
     }
 
-    /// Fast-forward telemetry accumulated so far (not part of the
-    /// architectural counters).
-    pub fn sim_stats(&self) -> &SimStats {
-        &self.stats
-    }
-
     /// Consumes the hierarchy and returns its counters.
     pub fn into_counters(self) -> Counters {
         self.counters
-    }
-
-    /// Consumes the hierarchy and returns counters plus fast-forward
-    /// telemetry.
-    pub fn into_parts(self) -> (Counters, SimStats) {
-        (self.counters, self.stats)
     }
 }
 
@@ -1879,6 +672,7 @@ impl MemoryHierarchy {
 mod tests {
     use super::*;
     use eco_machine::CostModel;
+    use proptest::prelude::*;
 
     fn tiny_machine() -> MachineDesc {
         MachineDesc {
@@ -2060,12 +854,12 @@ mod tests {
     }
 
     /// A deliberately naive re-implementation of the documented
-    /// semantics (no MRU shortcut, no same-line fast path), used to
+    /// semantics (no remembered slots, no same-line shortcut), used to
     /// check that the optimized paths are behaviour-preserving — down
     /// to the LRU stamps, whose influence shows up as eviction (miss)
     /// differences on long adversarial streams.
     mod naive {
-        use super::super::{AccessKind, Counters};
+        use super::super::{AccessKind, Counters, TagCounters};
         use eco_machine::MachineDesc;
 
         pub struct Model {
@@ -2208,11 +1002,34 @@ mod tests {
                     self.counters.cycles_x1000 += self.bw_line;
                 }
             }
+
+            /// [`Model::access`], attributing the access and its misses
+            /// to `tag` by differencing the global counters.
+            pub fn access_tagged(&mut self, addr: u64, kind: AccessKind, tag: usize) {
+                let levels = self.clocks.len();
+                if self.counters.per_tag.len() <= tag {
+                    self.counters.per_tag.resize_with(tag + 1, || TagCounters {
+                        misses: vec![0; levels],
+                        ..Default::default()
+                    });
+                }
+                let before = self.counters.clone();
+                self.access(addr, kind);
+                let c = &mut self.counters;
+                let t = &mut c.per_tag[tag];
+                if !matches!(kind, AccessKind::Prefetch) {
+                    t.accesses += 1;
+                }
+                for (i, m) in t.misses.iter_mut().enumerate() {
+                    *m += c.cache_misses[i] - before.cache_misses[i];
+                }
+                t.tlb_misses += c.tlb_misses - before.tlb_misses;
+            }
         }
     }
 
     /// A small deterministic generator for access streams that mix
-    /// strided runs (which exercise the fast path) with random jumps
+    /// strided runs (which exercise the shortcuts) with random jumps
     /// (which break it) and all three access kinds.
     fn pseudo_stream(seed: u64, len: usize, span: u64) -> Vec<(u64, AccessKind)> {
         let mut state = seed | 1;
@@ -2277,6 +1094,28 @@ mod tests {
         }
     }
 
+    /// Simulates a single-stream run of `count` accesses at `base,
+    /// base + stride, …` through [`MemoryHierarchy::access_streams`]
+    /// (attributed to `tag` when given).
+    fn run(
+        h: &mut MemoryHierarchy,
+        base: u64,
+        stride: i64,
+        count: u64,
+        kind: AccessKind,
+        tag: Option<usize>,
+    ) {
+        let spec = StreamSpec {
+            base: base as i64,
+            stride,
+            vlo: 0,
+            vhi: count as i64 - 1,
+            kind,
+            tag: tag.unwrap_or(0) as u32,
+        };
+        h.access_streams(&[spec], count as i64, tag.is_some());
+    }
+
     #[test]
     fn access_run_equals_per_access_loop() {
         let cases: &[(u64, i64, u64)] = &[
@@ -2301,7 +1140,7 @@ mod tests {
                     a.access(t * 8, AccessKind::Load);
                     b.access(t * 8, AccessKind::Load);
                 }
-                a.access_run(base, stride, count, kind, None);
+                run(&mut a, base, stride, count, kind, None);
                 for t in 0..count {
                     b.access(base.wrapping_add_signed(stride * t as i64), kind);
                 }
@@ -2320,8 +1159,8 @@ mod tests {
         }
     }
 
-    /// Satellite edge cases called out by the vectorization issue, each
-    /// against per-access reference simulation from a warmed state:
+    /// Single-stream edge cases, each against per-access simulation
+    /// from a warmed state:
     /// stride larger than a line, stride crossing a page/TLB boundary,
     /// negative strides, zero-length runs, and runs that straddle a set
     /// wraparound (consecutive lines mapping back to set 0).
@@ -2351,7 +1190,7 @@ mod tests {
                     a.access(t * 8, AccessKind::Load);
                     b.access(t * 8, AccessKind::Load);
                 }
-                a.access_run(base, stride, count, kind, None);
+                run(&mut a, base, stride, count, kind, None);
                 for t in 0..count {
                     b.access(base.wrapping_add_signed(stride * t as i64), kind);
                 }
@@ -2432,8 +1271,8 @@ mod tests {
                     tag: 0,
                 },
             ],
-            // Conflicting streams thrashing one set (FF must keep
-            // failing over to the walker) plus a negative stride.
+            // Conflicting streams thrashing one set (every lane's
+            // remembered slot goes stale) plus a negative stride.
             &[
                 StreamSpec {
                     base: 0,
@@ -2513,52 +1352,120 @@ mod tests {
         }
     }
 
-    /// The resident MM-shaped batch must actually engage fast-forward —
-    /// otherwise the exactness tests above are vacuous — and the
-    /// telemetry must reconcile with the architectural access counts.
-    #[test]
-    fn fast_forward_engages_and_reconciles() {
-        let m = tiny_machine();
-        let mut h = MemoryHierarchy::new(&m);
-        let streams = [
-            StreamSpec {
-                base: 0,
-                stride: 0,
-                vlo: 0,
-                vhi: 255,
-                kind: AccessKind::Load,
-                tag: 0,
-            },
-            StreamSpec {
-                base: 1024,
-                stride: 8,
-                vlo: 0,
-                vhi: 255,
-                kind: AccessKind::Load,
-                tag: 1,
-            },
-        ];
-        // 256 iterations over a 2-line + 64-line footprint: B streams
-        // through L1 (8 lines) so only resident *windows* fast-forward.
-        h.access_streams(&streams, 256, true);
-        let stats = h.sim_stats().clone();
-        let c = h.into_counters();
-        assert!(stats.ff_windows > 0, "fast-forward never engaged");
-        assert!(stats.ff_accesses > 0);
-        let total = c.loads + c.stores + c.prefetches;
-        assert!(stats.ff_accesses <= total);
-        assert_eq!(stats.per_tag_ff.len(), 2);
-        assert_eq!(stats.per_tag_ff.iter().sum::<u64>(), stats.ff_accesses);
-        for (ff, t) in stats.per_tag_ff.iter().zip(&c.per_tag) {
-            assert!(*ff <= t.accesses);
+    /// A machine for the randomized walker differential: an 8-line L1
+    /// of `1 << ways_log` ways, an optional L2, and a 4-entry TLB with
+    /// pages of `2^page_shift` L1 lines (`page_shift` -1 makes pages
+    /// half a line, which turns the same-line shortcut off).
+    fn random_machine(ways_log: u32, levels: usize, page_shift: i32) -> MachineDesc {
+        let mut m = tiny_machine();
+        m.caches[0].associativity = 1 << ways_log;
+        m.caches.truncate(levels);
+        m.tlb.page_bytes = if page_shift < 0 { 16 } else { 32 << page_shift };
+        m
+    }
+
+    /// A random batch on `rng`: up to six streams with zero, negative,
+    /// line-crossing and set-conflicting strides, duplicates of earlier
+    /// streams, neighbours sharing their line, and partial validity
+    /// windows (some reaching outside the trip range).
+    fn random_batch(rng: &mut proptest::Rng) -> (Vec<StreamSpec>, i64) {
+        const STRIDES: [i64; 12] = [0, 8, -8, 16, 24, 32, 40, -40, 128, 256, -256, 1000];
+        const KINDS: [AccessKind; 3] = [AccessKind::Load, AccessKind::Store, AccessKind::Prefetch];
+        let trips = 1 + rng.below(40) as i64;
+        let mut streams: Vec<StreamSpec> = Vec::new();
+        for _ in 0..1 + rng.below(6) {
+            let kind = KINDS[rng.below(3) as usize];
+            let mut s = match streams.last().copied() {
+                // a duplicate of the previous stream, maybe another kind
+                Some(prev) if rng.below(5) == 0 => StreamSpec { kind, ..prev },
+                // a neighbour on the previous stream's line
+                Some(prev) if rng.below(4) == 0 => StreamSpec {
+                    base: prev.base + 8,
+                    kind,
+                    ..prev
+                },
+                _ => StreamSpec {
+                    base: 8 * rng.below(1024) as i64 + 40_000,
+                    stride: STRIDES[rng.below(STRIDES.len() as u64) as usize],
+                    vlo: 0,
+                    vhi: trips - 1,
+                    kind,
+                    tag: rng.below(4) as u32,
+                },
+            };
+            if rng.below(3) == 0 {
+                s.vlo = rng.below(trips as u64 + 2) as i64 - 1;
+                s.vhi = s.vlo + rng.below(trips as u64 + 2) as i64 - 1;
+            }
+            streams.push(s);
         }
-        // A fully-resident zero-stride run fast-forwards almost
-        // everything (first touch walks, the rest is arithmetic).
-        let mut h2 = MemoryHierarchy::new(&m);
-        h2.access_run(64, 0, 10_000, AccessKind::Load, None);
-        assert!(h2.sim_stats().ff_accesses >= 9_990);
-        assert_eq!(h2.counters().loads, 10_000);
-        assert_eq!(h2.counters().cache_misses[0], 1);
+        (streams, trips)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The stream walker equals the naive model running the
+        /// interleaved per-access loop, plain and attributed, over
+        /// several consecutive batches (so lanes start from slots
+        /// remembered for other streams), down to the LRU stamps a
+        /// final sweep exposes.
+        #[test]
+        fn walker_matches_naive_model_on_random_batches(
+            ways_log in 0u32..3,
+            levels in 1usize..3,
+            page_shift in -1i32..3,
+            seed in 0u64..1 << 40,
+        ) {
+            let m = random_machine(ways_log, levels, page_shift);
+            for attribute in [false, true] {
+                let mut rng = proptest::Rng::new(seed);
+                let mut fast = MemoryHierarchy::new(&m);
+                let mut slow = naive::Model::new(&m);
+                for (addr, kind) in pseudo_stream(seed, 64, 4096) {
+                    fast.access(addr + 40_000, kind);
+                    slow.access(addr + 40_000, kind);
+                }
+                for _ in 0..4 {
+                    let (streams, trips) = random_batch(&mut rng);
+                    fast.access_streams(&streams, trips, attribute);
+                    if attribute {
+                        // a batch sizes the tag table for all its
+                        // streams, active or not
+                        let tags = 1 + streams.iter().map(|s| s.tag as usize).max().unwrap();
+                        let per_tag = &mut slow.counters.per_tag;
+                        if per_tag.len() < tags {
+                            per_tag.resize(tags, TagCounters {
+                                misses: vec![0; levels],
+                                ..Default::default()
+                            });
+                        }
+                    }
+                    for t in 0..trips {
+                        for s in &streams {
+                            if s.vlo <= t && t <= s.vhi {
+                                let addr = (s.base + t * s.stride) as u64;
+                                if attribute {
+                                    slow.access_tagged(addr, s.kind, s.tag as usize);
+                                } else {
+                                    slow.access(addr, s.kind);
+                                }
+                            }
+                        }
+                    }
+                }
+                for t in 0..64u64 {
+                    fast.access(40_000 + t * 32, AccessKind::Load);
+                    slow.access(40_000 + t * 32, AccessKind::Load);
+                }
+                prop_assert_eq!(
+                    fast.into_counters(),
+                    slow.counters,
+                    "seed {} ways 2^{} levels {} page shift {} attribute {}",
+                    seed, ways_log, levels, page_shift, attribute
+                );
+            }
+        }
     }
 
     #[test]
@@ -2567,7 +1474,7 @@ mod tests {
         let mut a = MemoryHierarchy::new(&m);
         let mut b = MemoryHierarchy::new(&m);
         for kind in [AccessKind::Load, AccessKind::Store, AccessKind::Prefetch] {
-            a.access_run(64, 8, 50, kind, Some(1));
+            run(&mut a, 64, 8, 50, kind, Some(1));
             for t in 0..50u64 {
                 b.access_tagged(64 + t * 8, kind, 1);
             }

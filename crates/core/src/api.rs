@@ -131,8 +131,7 @@ impl TuneRequest {
                 store_hits: after.store_hits - stats_before.store_hits,
                 dedup_waits: after.dedup_waits - stats_before.dedup_waits,
                 errors: after.errors - stats_before.errors,
-                ff_windows: after.ff_windows - stats_before.ff_windows,
-                ff_accesses: after.ff_accesses - stats_before.ff_accesses,
+                ..EngineStats::default()
             },
         })
     }

@@ -220,12 +220,10 @@ pub struct EngineStats {
     /// evaluation instead of re-simulating (the serve-daemon dedupe
     /// path). Never recorded in run manifests.
     pub dedup_waits: u64,
-    /// Fast-forward windows applied across all compiled-plan
-    /// simulations (see [`eco_cachesim::SimStats`]). Telemetry about
-    /// *how* simulations ran; never recorded in run manifests.
+    /// Retired simulator telemetry (see [`SimStats`](crate::SimStats));
+    /// always 0.
     pub ff_windows: u64,
-    /// Accesses accounted arithmetically instead of walked, across all
-    /// compiled-plan simulations. Never recorded in run manifests.
+    /// Retired simulator telemetry; always 0.
     pub ff_accesses: u64,
 }
 
@@ -403,8 +401,6 @@ struct EngineMetrics {
     store_hits: Arc<Counter>,
     dedup_waits: Arc<Counter>,
     errors: Arc<Counter>,
-    ff_windows: Arc<Counter>,
-    ff_accesses: Arc<Counter>,
     plan_compiles: Arc<Counter>,
     eval_duration_us: Arc<Histogram>,
 }
@@ -437,14 +433,6 @@ impl EngineMetrics {
             errors: c(
                 "eco_engine_eval_errors_total",
                 "Unique points that failed to evaluate.",
-            ),
-            ff_windows: c(
-                "eco_engine_ff_windows_total",
-                "Simulator windows resolved by exact fast-forward.",
-            ),
-            ff_accesses: c(
-                "eco_engine_ff_accesses_total",
-                "Accesses accounted arithmetically by fast-forward.",
             ),
             plan_compiles: c(
                 "eco_engine_plan_compiles_total",
@@ -766,8 +754,8 @@ impl Evaluator for Engine {
         // configured, each unique point is looked up on disk first and
         // written back after simulating (the extra bool records a
         // store hit).
-        // (result, wall_us, store_hit, (ff_windows, ff_accesses))
-        type RunOutcome = (Result<Counters, ExecError>, u64, bool, (u64, u64));
+        // (result, wall_us, store_hit)
+        type RunOutcome = (Result<Counters, ExecError>, u64, bool);
         type RunSlot = Mutex<Option<RunOutcome>>;
         let ran: Vec<RunSlot> = unique.iter().map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
@@ -779,27 +767,16 @@ impl Evaluator for Engine {
             let store = self.store.as_ref().filter(|_| self.memoize);
             let stored = store.and_then(|s| s.get(StoreKey::new(key.0, key.1)));
             let store_hit = stored.is_some();
-            let mut ff = (0u64, 0u64);
             let result = match stored {
                 Some(counters) => Ok(counters),
                 None => {
-                    let result = self
-                        .plan_for(&job.program, key.0)
-                        .and_then(|plan| {
-                            if job.attributed {
-                                plan.measure_attributed_with_stats(
-                                    &job.params,
-                                    &self.machine,
-                                    &job.layout,
-                                )
-                            } else {
-                                plan.measure_with_stats(&job.params, &self.machine, &job.layout)
-                            }
-                        })
-                        .map(|(c, s)| {
-                            ff = (s.ff_windows, s.ff_accesses);
-                            c
-                        });
+                    let result = self.plan_for(&job.program, key.0).and_then(|plan| {
+                        if job.attributed {
+                            plan.measure_attributed(&job.params, &self.machine, &job.layout)
+                        } else {
+                            plan.measure(&job.params, &self.machine, &job.layout)
+                        }
+                    });
                     // Persist successes only: errors are cheap to
                     // re-derive and need no on-disk encoding. A failed
                     // write degrades to a re-simulation next run, so
@@ -827,7 +804,7 @@ impl Evaluator for Engine {
                 g.cell.fill(result.clone());
                 g.armed = false;
             }
-            *ran[u].lock().expect("slot lock") = Some((result, wall_us, store_hit, ff));
+            *ran[u].lock().expect("slot lock") = Some((result, wall_us, store_hit));
         };
         let workers = self.threads.min(unique.len());
         if workers <= 1 {
@@ -872,13 +849,8 @@ impl Evaluator for Engine {
             }
         }
         {
-            let errors = ran.iter().filter(|(r, _, _, _)| r.is_err()).count() as u64;
-            let store_hits = ran.iter().filter(|(_, _, hit, _)| *hit).count() as u64;
-            let (mut ff_windows, mut ff_accesses) = (0u64, 0u64);
-            for (_, _, _, (fw, fa)) in &ran {
-                ff_windows += fw;
-                ff_accesses += fa;
-            }
+            let errors = ran.iter().filter(|(r, _, _)| r.is_err()).count() as u64;
+            let store_hits = ran.iter().filter(|(_, _, hit)| *hit).count() as u64;
             let mut stats = self.stats.lock().expect("stats lock");
             stats.requested += jobs.len() as u64;
             stats.evaluated += unique.len() as u64;
@@ -886,8 +858,6 @@ impl Evaluator for Engine {
             stats.errors += errors;
             stats.store_hits += store_hits;
             stats.dedup_waits += waits.len() as u64;
-            stats.ff_windows += ff_windows;
-            stats.ff_accesses += ff_accesses;
             drop(stats);
             let m = &self.metrics;
             m.requested.add(jobs.len() as u64);
@@ -897,8 +867,6 @@ impl Evaluator for Engine {
             m.errors.add(errors);
             m.store_hits.add(store_hits);
             m.dedup_waits.add(waits.len() as u64);
-            m.ff_windows.add(ff_windows);
-            m.ff_accesses.add(ff_accesses);
         }
         let mut out = Vec::with_capacity(jobs.len());
         for (i, slot) in slots.iter().enumerate() {
@@ -968,14 +936,14 @@ impl Evaluator for Engine {
                 )
                 .uint(
                     "errors",
-                    ran.iter().filter(|(r, _, _, _)| r.is_err()).count() as u64,
+                    ran.iter().filter(|(r, _, _)| r.is_err()).count() as u64,
                 )
                 .uint("workers", workers as u64)
                 .uint("wall_us", batch_start.elapsed().as_micros() as u64);
             if self.store.is_some() {
                 attrs = attrs.uint(
                     "store_hits",
-                    ran.iter().filter(|(_, _, hit, _)| *hit).count() as u64,
+                    ran.iter().filter(|(_, _, hit)| *hit).count() as u64,
                 );
             }
             if !waits.is_empty() {

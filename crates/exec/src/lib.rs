@@ -65,7 +65,7 @@ pub use engine::{
 };
 pub use error::ExecError;
 pub use layout::{ArrayLayout, LayoutOptions, Params, Storage};
-pub use plan::{measure, measure_attributed, ExecutablePlan, LoweringStats};
+pub use plan::{measure, measure_attributed, ExecutablePlan, LoweringStats, SimStats};
 pub use reference::{interpret, measure_attributed_reference, measure_reference};
 
 /// The structured observability layer (spans, events, deterministic JSON
@@ -81,7 +81,7 @@ pub use eco_store as store;
 /// The one canonical counter type: `eco-cachesim` produces it, everything
 /// downstream (search, baselines, benches) should import it from here so
 /// call sites no longer juggle two counter structs.
-pub use eco_cachesim::{AccessKind, Counters, SimStats, TagCounters};
+pub use eco_cachesim::{AccessKind, Counters, TagCounters};
 
 #[cfg(test)]
 mod tests {

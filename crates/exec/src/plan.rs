@@ -21,12 +21,10 @@
 //! * an innermost loop whose whole body is straight-line becomes a
 //!   *fused loop*: at entry, each site is bound to `(start address,
 //!   per-iteration byte stride, valid-iteration interval)`, after which
-//!   iterating is pure pointer arithmetic. Single-site fused loops hand
-//!   the whole run to [`MemoryHierarchy::access_run`], which simulates
-//!   in O(cache lines touched); multi-site fused loops hand the whole
-//!   batch of address streams to [`MemoryHierarchy::access_streams`],
-//!   whose struct-of-arrays walker and exact fast-forward windows are
-//!   described in DESIGN.md §4.
+//!   iterating is pure pointer arithmetic. Every fused loop hands its
+//!   whole batch of address streams to
+//!   [`MemoryHierarchy::access_streams`], whose exact per-lane stream
+//!   walker is described in DESIGN.md §4.
 //!
 //! The plan is parameter-symbolic: compilation depends only on the
 //! program, so the engine memoizes one plan per program and re-binds it
@@ -40,9 +38,30 @@
 
 use crate::error::ExecError;
 use crate::layout::{ArrayLayout, LayoutOptions, Params, Storage};
-use eco_cachesim::{AccessKind, Counters, MemoryHierarchy, SimStats, StreamSpec};
+use eco_cachesim::{AccessKind, Counters, MemoryHierarchy, StreamSpec};
 use eco_ir::{AffineExpr, ArrayId, ArrayRef, Bound, Cond, Program, ScalarExpr, Stmt, VarId};
 use eco_machine::MachineDesc;
+
+/// Retired simulator telemetry, kept so callers of
+/// [`ExecutablePlan::measure_with_stats`] keep compiling. It counted
+/// the accesses the simulator's old fast-forward windows accounted
+/// arithmetically; the stream walker that replaced them walks every
+/// access, so both fields always read 0.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct SimStats {
+    /// Always 0 (retired).
+    pub ff_windows: u64,
+    /// Always 0 (retired).
+    pub ff_accesses: u64,
+}
+
+impl SimStats {
+    /// Adds `other` into `self`, field by field.
+    pub fn merge(&mut self, other: &SimStats) {
+        self.ff_windows += other.ff_windows;
+        self.ff_accesses += other.ff_accesses;
+    }
+}
 
 /// One static memory-access site: an array reference plus the kind of
 /// access the program performs there. Sites are listed in trace order.
@@ -234,7 +253,6 @@ impl ExecutablePlan {
         layout_opts: &LayoutOptions,
     ) -> Result<Counters, ExecError> {
         self.run_measure(params, machine, layout_opts, false)
-            .map(|(c, _)| c)
     }
 
     /// Like [`ExecutablePlan::measure`], but attributes demand misses
@@ -250,12 +268,11 @@ impl ExecutablePlan {
         layout_opts: &LayoutOptions,
     ) -> Result<Counters, ExecError> {
         self.run_measure(params, machine, layout_opts, true)
-            .map(|(c, _)| c)
     }
 
-    /// Like [`ExecutablePlan::measure`], but also returns the
-    /// simulator's fast-forward telemetry ([`SimStats`]) for the run.
-    /// The counters are bit-identical to [`ExecutablePlan::measure`].
+    /// Like [`ExecutablePlan::measure`], plus the retired simulator
+    /// telemetry ([`SimStats`], always zero). The counters are
+    /// bit-identical to [`ExecutablePlan::measure`].
     ///
     /// # Errors
     ///
@@ -266,11 +283,12 @@ impl ExecutablePlan {
         machine: &MachineDesc,
         layout_opts: &LayoutOptions,
     ) -> Result<(Counters, SimStats), ExecError> {
-        self.run_measure(params, machine, layout_opts, false)
+        self.measure(params, machine, layout_opts)
+            .map(|c| (c, SimStats::default()))
     }
 
-    /// Like [`ExecutablePlan::measure_attributed`], but also returns
-    /// the simulator's fast-forward telemetry ([`SimStats`]).
+    /// Like [`ExecutablePlan::measure_attributed`], plus the retired
+    /// simulator telemetry ([`SimStats`], always zero).
     ///
     /// # Errors
     ///
@@ -281,7 +299,8 @@ impl ExecutablePlan {
         machine: &MachineDesc,
         layout_opts: &LayoutOptions,
     ) -> Result<(Counters, SimStats), ExecError> {
-        self.run_measure(params, machine, layout_opts, true)
+        self.measure_attributed(params, machine, layout_opts)
+            .map(|c| (c, SimStats::default()))
     }
 
     fn run_measure(
@@ -290,7 +309,7 @@ impl ExecutablePlan {
         machine: &MachineDesc,
         layout_opts: &LayoutOptions,
         attribute: bool,
-    ) -> Result<(Counters, SimStats), ExecError> {
+    ) -> Result<Counters, ExecError> {
         let layout = ArrayLayout::new(&self.program, params, layout_opts)?;
         let env = params.env_for(&self.program)?;
         let mut ctx = MeasureCtx {
@@ -306,7 +325,7 @@ impl ExecutablePlan {
             active_sites: Vec::new(),
         };
         ctx.run()?;
-        Ok(ctx.hier.into_parts())
+        Ok(ctx.hier.into_counters())
     }
 
     /// Numerically executes the plan over `storage` — the compiled
@@ -920,9 +939,8 @@ impl MeasureCtx<'_> {
         // Hand the whole loop to the simulator as one batch of strided
         // streams: demand sites cover the full trip range (checked
         // above), prefetch sites may be valid only on a sub-interval.
-        // The simulator coalesces line runs and fast-forwards
-        // provably-resident windows — bit-identical to the per-access
-        // interleaved walk.
+        // The simulator's stream walker is bit-identical to the
+        // per-access interleaved walk.
         let mut streams = std::mem::take(&mut self.streams);
         streams.clear();
         streams.extend(

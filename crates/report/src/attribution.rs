@@ -47,10 +47,6 @@ pub struct AttributionRow {
     pub refs_model: f64,
     /// Simulated accesses reaching the hierarchy (loads + stores).
     pub refs_sim: u64,
-    /// Of `refs_sim`, accesses the simulator fast-forwarded (accounted
-    /// arithmetically instead of walked). Telemetry about how the
-    /// simulation ran; the counters themselves are unaffected.
-    pub ff_sim: u64,
     /// One cell per cache level, then the TLB (label `TLB`).
     pub levels: Vec<LevelCell>,
     /// Human-readable flags (`copy (not modeled)`, `model 8x low at
@@ -86,8 +82,7 @@ pub struct AttributionOptions {
     /// from the run manifest); adds a `tuned` table for it.
     pub tuned: Option<(String, Vec<(String, u64)>)>,
     /// Worker threads for the re-measurement pass (0 = auto).
-    /// Currently advisory: variants are re-measured serially so their
-    /// fast-forward telemetry can be attributed per table.
+    /// Currently advisory: variants are re-measured serially.
     pub threads: usize,
 }
 
@@ -207,14 +202,10 @@ pub fn attribute_run(
             .expect("targets built from variants");
         let program = generate(&kernel, &nest, variant, &params, &machine)
             .map_err(|e| format!("{name}: generation failed: {e}"))?;
-        // Measured through the compiled plan directly (not the engine):
-        // the attribution table also reports the simulator's per-tag
-        // fast-forward telemetry, which only `measure_attributed_with_stats`
-        // exposes.
         let plan = eco_exec::ExecutablePlan::compile(&program)
             .map_err(|e| format!("{name}: compilation failed: {e}"))?;
-        let (counters, sim) = plan
-            .measure_attributed_with_stats(
+        let counters = plan
+            .measure_attributed(
                 &eco_exec::Params::new().with(kernel.size, n),
                 &machine,
                 &eco_exec::LayoutOptions::default(),
@@ -289,7 +280,6 @@ pub fn attribute_run(
                 array: array_name,
                 refs_model,
                 refs_sim: tag.accesses,
-                ff_sim: sim.per_tag_ff.get(ti).copied().unwrap_or(0),
                 levels,
                 flags,
             });

@@ -412,12 +412,8 @@ pub fn render_html(reports: &[RunReport]) -> String {
                     t.cycles,
                     esc(&params.join(" "))
                 );
-                let mut headers: Vec<String> = vec![
-                    "array".into(),
-                    "refs(mod)".into(),
-                    "refs(sim)".into(),
-                    "ff%".into(),
-                ];
+                let mut headers: Vec<String> =
+                    vec!["array".into(), "refs(mod)".into(), "refs(sim)".into()];
                 if let Some(first) = t.rows.first() {
                     for cell in &first.levels {
                         headers.push(format!("{}(mod)", cell.level));
@@ -434,10 +430,6 @@ pub fn render_html(reports: &[RunReport]) -> String {
                             r.array.clone(),
                             format!("{:.0}", r.refs_model),
                             r.refs_sim.to_string(),
-                            format!(
-                                "{:.1}",
-                                100.0 * r.ff_sim as f64 / (r.refs_sim.max(1)) as f64
-                            ),
                         ];
                         for cell in &r.levels {
                             row.push(format!("{:.0}", cell.model));

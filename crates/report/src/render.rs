@@ -261,7 +261,6 @@ pub fn render_attribution_ascii(tables: &[VariantAttribution]) -> String {
             "array".to_string(),
             "refs(mod)".to_string(),
             "refs(sim)".to_string(),
-            "ff%".to_string(),
         ];
         if let Some(first) = t.rows.first() {
             for cell in &first.levels {
@@ -276,10 +275,6 @@ pub fn render_attribution_ascii(tables: &[VariantAttribution]) -> String {
                 r.array.clone(),
                 format!("{:.0}", r.refs_model),
                 r.refs_sim.to_string(),
-                format!(
-                    "{:.1}",
-                    100.0 * r.ff_sim as f64 / (r.refs_sim.max(1)) as f64
-                ),
             ];
             for cell in &r.levels {
                 row.push(format!("{:.0}", cell.model));
@@ -294,29 +289,26 @@ pub fn render_attribution_ascii(tables: &[VariantAttribution]) -> String {
 }
 
 /// The attribution tables as long-format CSV
-/// (`variant,point,array,level,model,simulated,ff,flag`). The `ff`
-/// column is only meaningful on the `refs` row: of the simulated
-/// accesses, how many the simulator fast-forwarded (0 elsewhere).
+/// (`variant,point,array,level,model,simulated,flags`).
 pub fn render_attribution_csv(tables: &[VariantAttribution]) -> String {
-    let mut out = String::from("variant,point,array,level,model,simulated,ff,flags\n");
+    let mut out = String::from("variant,point,array,level,model,simulated,flags\n");
     for t in tables {
         for r in &t.rows {
             let flags = csv_escape(&r.flags.join("; "));
             let _ = writeln!(
                 out,
-                "{},{},{},refs,{:.0},{},{},{}",
+                "{},{},{},refs,{:.0},{},{}",
                 csv_escape(&t.variant),
                 t.point,
                 csv_escape(&r.array),
                 r.refs_model,
                 r.refs_sim,
-                r.ff_sim,
                 flags
             );
             for cell in &r.levels {
                 let _ = writeln!(
                     out,
-                    "{},{},{},{},{:.0},{},0,{}",
+                    "{},{},{},{},{:.0},{},{}",
                     csv_escape(&t.variant),
                     t.point,
                     csv_escape(&r.array),
