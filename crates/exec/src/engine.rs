@@ -642,7 +642,6 @@ impl Engine {
                     .uint("wall_us", wall_us)
                     .uint("insts", s.insts as u64)
                     .uint("sites", s.sites as u64)
-                    .uint("vops", s.vops as u64)
                     .uint("fused_loops", s.fused_loops as u64)
                     .uint("guarded_runs", s.guarded_runs as u64)
                     .uint("hoisted_guards", s.hoisted_guards as u64),

@@ -11,13 +11,14 @@
 //!   the reproduction's substitute for executing candidate variants on
 //!   real hardware during the paper's empirical search.
 //!
-//! Both modes run on the production [`ExecutablePlan`] bytecode
+//! [`measure`] runs on the production [`ExecutablePlan`] bytecode
 //! pipeline (lower once per program, replay at every parameter point,
-//! batch strided runs through the cache simulator). The one tree-walking
-//! reference executor ([`interpret`], [`measure_reference`]) is the
-//! oracle it is differentially tested against. [`measure`]
-//! compiles-and-runs a plan; the [`Engine`] additionally memoizes plans
-//! per program so batch re-evaluations skip lowering.
+//! batch strided runs through the cache simulator); it compiles and
+//! runs a plan, and the [`Engine`] additionally memoizes plans per
+//! program so batch re-evaluations skip lowering. [`interpret`] and
+//! [`measure_reference`] are the one tree-walking reference executor:
+//! the numeric oracle of the transform tests, and the counters oracle
+//! the plan is differentially tested against.
 //!
 //! # Examples
 //!

@@ -229,17 +229,28 @@ impl ResultStore {
     /// misses (and as [`StoreStats::rejected`]).
     pub fn get(&self, key: StoreKey) -> Option<Counters> {
         let path = self.record_path(&key);
-        let text = fs::read_to_string(&path).ok();
+        // Read and parse before taking the lock: only the clock, stats
+        // and index update run under it.
+        let read = fs::read_to_string(&path)
+            .ok()
+            .map(|text| (text.len() as u64, parse_record(&text, key)));
         let mut inner = self.inner.lock().unwrap();
         inner.clock += 1;
         let clock = inner.clock;
-        let Some(text) = text else {
-            inner.stats.misses += 1;
-            self.metrics.misses.inc();
-            return None;
-        };
-        match parse_record(&text, key) {
-            Some(counters) => {
+        match read {
+            None => {
+                inner.stats.misses += 1;
+                self.metrics.misses.inc();
+                None
+            }
+            Some((_, None)) => {
+                inner.stats.misses += 1;
+                inner.stats.rejected += 1;
+                self.metrics.misses.inc();
+                self.metrics.rejected.inc();
+                None
+            }
+            Some((bytes, Some(counters))) => {
                 inner.stats.hits += 1;
                 self.metrics.hits.inc();
                 if let Some(entry) = inner.index.get_mut(&key) {
@@ -248,20 +259,13 @@ impl ResultStore {
                     inner.index.insert(
                         key,
                         IndexEntry {
-                            bytes: text.len() as u64,
+                            bytes,
                             created: clock,
                             last_used: clock,
                         },
                     );
                 }
                 Some(counters)
-            }
-            None => {
-                inner.stats.misses += 1;
-                inner.stats.rejected += 1;
-                self.metrics.misses.inc();
-                self.metrics.rejected.inc();
-                None
             }
         }
     }

@@ -180,7 +180,7 @@ fn random_variant_parameters_preserve_semantics() {
 /// (DESIGN.md §4): across random kernels × derived variants × random
 /// tile/unroll/size parameters, the lowered [`ExecutablePlan`] and the
 /// tree-walking reference produce identical `Counters` (including
-/// per-tag attribution) and bit-identical `f64` array contents.
+/// per-tag attribution).
 #[test]
 fn compiled_plan_matches_reference_on_random_variants() {
     let machine = MachineDesc::sgi_r10000().scaled(32);
@@ -238,30 +238,6 @@ fn compiled_plan_matches_reference_on_random_variants() {
             v.name,
             params
         );
-        // Numeric parity: bit-identical storage after execution.
-        let layout = ArrayLayout::new(&program, &pr, &opts).expect("layout");
-        let mut ref_st = Storage::seeded(&layout, 1234);
-        let mut plan_st = Storage::seeded(&layout, 1234);
-        let r1 = interpret(&program, &pr, &layout, &mut ref_st);
-        let r2 = plan.interpret(&pr, &layout, &mut plan_st);
-        assert_eq!(r1, r2, "{} {:?} N={n} outcome differs", v.name, params);
-        if r1.is_err() {
-            continue; // storage contents are unspecified after an error
-        }
-        for a in 0..layout.num_arrays() {
-            let id = eco_ir::ArrayId(a as u32);
-            let (x, y) = (ref_st.array(id), plan_st.array(id));
-            assert_eq!(x.len(), y.len());
-            for (i, (u, w)) in x.iter().zip(y).enumerate() {
-                assert_eq!(
-                    u.to_bits(),
-                    w.to_bits(),
-                    "{} {:?} N={n} array {a} elem {i}: {u} vs {w}",
-                    v.name,
-                    params
-                );
-            }
-        }
     }
     assert!(
         checked >= 8,
@@ -293,6 +269,33 @@ fn stream_walker_matches_reference_on_full_size_machine() {
             plan.measure_attributed(&pr, &machine, &opts),
             measure_attributed_reference(&program, &pr, &machine, &opts),
             "tiles ({ti},{tj},{tk}) N={n}: attributed counters differ"
+        );
+    }
+}
+
+/// The lowering shape — `(insts, sites, fused_loops, guarded_runs,
+/// hoisted_guards)` — of two Table-1 matmul tilings (tiled, unrolled
+/// and jammed, scalar-replaced; the second with prefetches). The
+/// kernels' own shapes are pinned in `crates/exec/src/plan.rs`.
+#[test]
+fn mm_table_rows_keep_their_lowering_shape() {
+    use eco_bench::mm_table_row;
+    for (ti, tj, tk, prefetch, want) in [
+        (16u64, 16, 16, false, (91, 64, 1, 16, 24)),
+        (8, 32, 16, true, (91, 69, 1, 16, 24)),
+    ] {
+        let plan = ExecutablePlan::compile(&mm_table_row(ti, tj, tk, prefetch)).expect("compile");
+        let s = plan.lowering_stats();
+        assert_eq!(
+            (
+                s.insts,
+                s.sites,
+                s.fused_loops,
+                s.guarded_runs,
+                s.hoisted_guards
+            ),
+            want,
+            "tiles ({ti},{tj},{tk}) prefetch={prefetch}"
         );
     }
 }
