@@ -6,9 +6,6 @@
 //! eco variants <kernel> [opts]        Phase 1: derived variants (Table-4 style)
 //! eco tune <kernel> [opts]            Phase 1 + 2: full optimization
 //! eco lint <kernel> [opts]            statically certify every derived variant
-//! eco lint --sched [--seed S] [--schedules N]
-//!                                     concurrency lint: explore service-layer
-//!                                     interleavings, fail on ECO-S diagnostics
 //! eco measure <kernel> [opts]         simulate the untransformed kernel
 //! eco report --events PATH [opts]     analyze an event stream (see below)
 //! eco serve [opts]                    autotuning daemon on a Unix socket
@@ -103,7 +100,6 @@ const COMMANDS: &[Command] = &[
     Command::new("show", "<kernel>", &[], show),
     Command::new("variants", "<kernel>", &[MACHINE], variants),
     Command::new("tune", "<kernel>", &[MACHINE, SEARCH, ENGINE, &[MANIFEST, "--code"]], tune),
-    Command::new("lint --sched", "", &[&["--seed S", "--schedules N"]], lint_sched),
     Command::new("lint", "<kernel>", &[MACHINE, &["--n N"]], lint),
     Command::new("measure", "<kernel>", &[MACHINE, ENGINE, &["--n N"]], measure),
     Command::new("report", "", &[
@@ -338,51 +334,6 @@ fn serve_cmd(a: &Args) -> Result<(), String> {
         slow_ms: a.num("--slow-ms", 1000)?,
     })?;
     server.run()
-}
-
-/// `eco lint --sched`: the concurrency lint. Runs the built-in
-/// eco-sched checker models over the service layer's shared-state
-/// protocols and the lock-order analysis across every explored
-/// schedule; prints one deterministic block per model and exits
-/// nonzero on any ECO-S diagnostic.
-fn lint_sched(a: &Args) -> Result<(), String> {
-    let mut cfg = eco_sched::Config::from_env();
-    cfg.seed = a.num("--seed", cfg.seed)?;
-    cfg.max_schedules = a.num("--schedules", cfg.max_schedules)?;
-    let reports = eco_core::lint_sched(&cfg);
-    let mut schedules = 0u64;
-    let mut findings = 0usize;
-    for m in &reports {
-        let r = &m.report;
-        schedules += r.schedules;
-        println!("{:<24} {}", m.name, m.covers);
-        println!(
-            "  schedules: {}{}  seed: {}",
-            r.schedules,
-            if r.truncated { " (cap reached)" } else { "" },
-            r.seed
-        );
-        for (from, to) in &r.edges {
-            println!("  lock order: {from} -> {to}");
-        }
-        if r.is_clean() {
-            println!("  clean");
-        }
-        for d in &r.diags {
-            findings += 1;
-            println!("{}", d.render());
-        }
-    }
-    println!(
-        "sched lint: {} models, {} schedules explored, {} diagnostics",
-        reports.len(),
-        schedules,
-        findings
-    );
-    if findings > 0 {
-        std::process::exit(1);
-    }
-    Ok(())
 }
 
 fn top_cmd(a: &Args) -> Result<(), String> {

@@ -37,10 +37,9 @@ pub struct Command {
 }
 
 impl Command {
-    /// A table row: `name` is the words that select the command (plain
-    /// words lead the command line in order, a `--word` may appear
-    /// anywhere after them), `positionals` its placeholders (a
-    /// `[bracketed]` one is optional), `flags` every flag it accepts.
+    /// A table row: `name` is the words that select the command (they
+    /// lead the command line, in order), `positionals` its placeholders
+    /// (a `[bracketed]` one is optional), `flags` every flag it accepts.
     pub const fn new(
         name: &'static str,
         positionals: &'static str,
@@ -79,18 +78,13 @@ impl Command {
     /// The arguments left after the selecting words, when `argv`
     /// selects this command.
     fn select(&self, argv: &[String]) -> Option<Vec<String>> {
-        let mut rest = argv.to_vec();
+        let mut rest = argv.iter();
         for word in self.name.split(' ') {
-            let at = if word.starts_with("--") {
-                rest.iter().position(|a| a == word)?
-            } else if rest.first()? == word {
-                0
-            } else {
+            if rest.next()? != word {
                 return None;
-            };
-            rest.remove(at);
+            }
         }
-        Some(rest)
+        Some(rest.cloned().collect())
     }
 }
 
@@ -294,7 +288,6 @@ mod tests {
     const TABLE: &[Command] = &[
         Command::new("show", "<kernel>", &[], |_| Ok(())),
         Command::new("tune", "<kernel>", &[ENGINE, MACHINE], |_| Ok(())),
-        Command::new("lint --sched", "", &[&["--seed S"]], |_| Ok(())),
         Command::new("lint", "<kernel>", &[MACHINE], |_| Ok(())),
         Command::new("client tune", "<kernel>", &[&["--socket S", "--search-n N"]], |_| Ok(())),
         Command::new("trace", "[FP]", &[&["--socket S"]], |_| Ok(())),
@@ -383,9 +376,6 @@ mod tests {
         assert_eq!(args.num("--search-n", 96i64), Ok(16));
         let args = parse_line("client tune --socket S mm").expect("parses");
         assert_eq!(args.positionals, ["mm"]);
-        // A `--word` in a row's name selects the row from any position.
-        let args = parse_line("lint --seed 3 --sched").expect("parses");
-        assert_eq!(args.command(), "lint --sched");
         assert_eq!(parse_line("lint mm").expect("parses").command(), "lint");
     }
 

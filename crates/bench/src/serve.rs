@@ -193,7 +193,7 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
 }
 
 // ---------------------------------------------------------------------
-// Configuration and stats
+// Configuration
 // ---------------------------------------------------------------------
 
 /// How the server is configured: socket path, the engine template
@@ -231,22 +231,6 @@ impl ServeConfig {
     }
 }
 
-/// Serve counters, reported by the `stats` op.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Protocol requests handled (all ops).
-    pub requests: u64,
-    /// `tune` requests that ran a search.
-    pub tunes: u64,
-    /// `shard` requests executed for sweep orchestrators.
-    pub shards: u64,
-    /// `tune`/`shard` requests served by waiting on an identical
-    /// in-flight request instead of running their own work.
-    pub deduped_requests: u64,
-    /// Requests answered with `"ok": false`.
-    pub errors: u64,
-}
-
 // ---------------------------------------------------------------------
 // Per-server metrics
 // ---------------------------------------------------------------------
@@ -264,6 +248,11 @@ const KNOWN_OPS: &[&str] = &[
     "trace",
     "shutdown",
 ];
+
+/// Every `op` label value: the known ops, then `other`.
+fn op_labels() -> impl Iterator<Item = &'static str> {
+    KNOWN_OPS.iter().copied().chain(["other"])
+}
 
 fn op_label(op: &str) -> &'static str {
     KNOWN_OPS
@@ -292,7 +281,7 @@ impl ServeMetrics {
         let registry = Registry::new();
         // Pre-register every known op so a scrape is fully shaped
         // before the first request of each kind arrives.
-        for op in KNOWN_OPS.iter().chain(std::iter::once(&"other")) {
+        for op in op_labels() {
             let _ = Self::requests_in(&registry, op);
             let _ = Self::duration_in(&registry, op);
         }
@@ -564,7 +553,6 @@ struct ServerInner {
     template: EngineConfig,
     engines: Mutex<HashMap<u64, Arc<Engine>>>,
     inflight: Mutex<HashMap<u64, Arc<InflightRequest>>>,
-    stats: Mutex<ServeStats>,
     events: Option<Arc<EventStream>>,
     shutdown: AtomicBool,
     metrics: ServeMetrics,
@@ -632,7 +620,6 @@ impl Server {
                 template,
                 engines: labeled_mutex("serve.engines", HashMap::new()),
                 inflight: labeled_mutex("serve.inflight", HashMap::new()),
-                stats: labeled_mutex("serve.stats", ServeStats::default()),
                 events,
                 shutdown: AtomicBool::new(false),
                 metrics: ServeMetrics::new(),
@@ -752,11 +739,7 @@ fn serve_connection(inner: &ServerInner, stream: UnixStream, socket: &Path) {
             Ok(_) => {}
         }
         if buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
-            {
-                let mut stats = inner.stats.lock().expect("stats lock");
-                stats.requests += 1;
-                stats.errors += 1;
-            }
+            inner.metrics.requests("other").inc();
             inner.metrics.errors.inc();
             let msg = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
             inner.log.info(&msg);
@@ -811,11 +794,10 @@ fn fp_of(header: &Json) -> u64 {
         .unwrap_or(0)
 }
 
-/// Parses and dispatches one request line, counting it in the serve
-/// stats and metrics (except `metrics` scrapes, which do not count
-/// themselves) and emitting `serve_request`/`serve_done` events.
+/// Parses and dispatches one request line, counting it in the metrics
+/// (except `metrics` scrapes, which do not count themselves) and
+/// emitting `serve_request`/`serve_done` events.
 fn handle_line(inner: &ServerInner, line: &str, socket: &Path) -> Reply {
-    inner.stats.lock().expect("stats lock").requests += 1;
     let parsed = Json::parse(line).map_err(|e| format!("bad request line: {e}"));
     let op = parsed
         .as_ref()
@@ -845,7 +827,6 @@ fn handle_line(inner: &ServerInner, line: &str, socket: &Path) -> Reply {
     let reply = match result {
         Ok(reply) => reply,
         Err(msg) => {
-            inner.stats.lock().expect("stats lock").errors += 1;
             inner.metrics.errors.inc();
             Reply::One(
                 Json::obj()
@@ -1024,13 +1005,9 @@ fn handle_tune(inner: &ServerInner, doc: &Json) -> Result<Json, String> {
         TuneRequest::from_json(doc.get("request").ok_or("tune: missing field 'request'")?)?;
     let fp = request.fingerprint();
     let (outcome, deduped) = with_inflight(inner, fp, || run_tune(inner, &request, fp));
-    let mut stats = inner.stats.lock().expect("stats lock");
-    stats.tunes += 1;
     if deduped {
-        stats.deduped_requests += 1;
         inner.metrics.deduped.inc();
     }
-    drop(stats);
     outcome
 }
 
@@ -1063,13 +1040,9 @@ fn handle_shard(inner: &ServerInner, doc: &Json) -> Result<Json, String> {
         }
         response
     });
-    let mut stats = inner.stats.lock().expect("stats lock");
-    stats.shards += 1;
     if deduped {
-        stats.deduped_requests += 1;
         inner.metrics.deduped.inc();
     }
-    drop(stats);
     outcome
 }
 
@@ -1192,8 +1165,12 @@ fn metrics_response(inner: &ServerInner) -> Json {
         .field("metrics", Json::str(&text))
 }
 
+/// The `stats` op: the serve counters, read from the per-server
+/// metrics (so `metrics` scrapes are not among the `requests`), and
+/// each engine's work totals.
 fn stats_response(inner: &ServerInner) -> Json {
-    let serve = *inner.stats.lock().expect("stats lock");
+    let m = &inner.metrics;
+    let requests: u64 = op_labels().map(|op| m.requests(op).get()).sum();
     let engines = inner.engines.lock().expect("engines lock");
     let mut per_engine = Json::obj();
     let mut fps: Vec<&u64> = engines.keys().collect();
@@ -1213,11 +1190,11 @@ fn stats_response(inner: &ServerInner) -> Json {
     }
     Json::obj()
         .field("ok", Json::Bool(true))
-        .field("requests", Json::UInt(serve.requests))
-        .field("tunes", Json::UInt(serve.tunes))
-        .field("shards", Json::UInt(serve.shards))
-        .field("deduped_requests", Json::UInt(serve.deduped_requests))
-        .field("errors", Json::UInt(serve.errors))
+        .field("requests", Json::UInt(requests))
+        .field("tunes", Json::UInt(m.requests("tune").get()))
+        .field("shards", Json::UInt(m.requests("shard").get()))
+        .field("deduped_requests", Json::UInt(m.deduped.get()))
+        .field("errors", Json::UInt(m.errors.get()))
         .field("engines", per_engine)
 }
 

@@ -58,7 +58,7 @@ mod variant;
 
 pub use api::{machine_from_json, machine_to_json, TuneRequest, TuneResponse, API_VERSION};
 pub use codegen::generate;
-pub use lint::{lint_kernel, lint_sched, LintEntry};
+pub use lint::{lint_kernel, LintEntry};
 pub use manifest::{machine_fingerprint, run_manifest};
 pub use search::{
     stages, strategy_name, LineageStep, Optimizer, SearchOptions, SearchOptionsBuilder,

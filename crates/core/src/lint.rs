@@ -6,9 +6,7 @@
 //! point), and certifies the result — plus one prefetch-augmented
 //! artifact per prefetchable array — against the original kernel with
 //! `eco-verify`. CI runs this over the Table-4 / Figure-1 kernels and
-//! fails on any diagnostic. [`lint_sched`] is the concurrency
-//! counterpart: the same sweep-and-fail contract, over interleavings
-//! of the service layer's shared state instead of loop transforms.
+//! fails on any diagnostic.
 
 use crate::codegen::generate;
 use crate::search::Optimizer;
@@ -18,7 +16,6 @@ use eco_analysis::NestInfo;
 use eco_ir::ArrayId;
 use eco_kernels::Kernel;
 use eco_machine::MachineDesc;
-use eco_sched::models::ModelReport;
 use eco_transform::insert_prefetch;
 use eco_verify::{certify, Certificate};
 
@@ -110,20 +107,4 @@ pub fn lint_kernel(
         }
     }
     Ok(out)
-}
-
-/// The concurrency half of the lint sweep (`eco lint --sched`): runs
-/// the built-in eco-sched checker models of the service layer's shared
-/// state — the store's write/index/gc protocol, the daemon's
-/// whole-request dedupe, the engine's memo/in-flight rendezvous — each
-/// exploring bounded-preemption interleavings under the given seed,
-/// with lock-order analysis across every explored schedule. Any ECO-S
-/// diagnostic in a returned report is a finding; CI fails on them the
-/// same way it fails on a refused certificate.
-///
-/// Deterministic: the same `cfg` yields the same schedules, edges and
-/// diagnostics, so output is diffable across runs and machines.
-#[must_use]
-pub fn lint_sched(cfg: &eco_sched::Config) -> Vec<ModelReport> {
-    eco_sched::models::run_builtin(cfg)
 }

@@ -691,13 +691,11 @@ impl MeasureCtx<'_> {
         // Hand the whole loop to the simulator as one batch of strided
         // streams: demand streams cover the full trip range (checked
         // above), prefetch streams may be valid only on a sub-interval
-        // or none. The simulator's stream walker is bit-identical to
-        // the per-access interleaved walk.
-        streams.retain_mut(|s| {
-            s.vlo = s.vlo.max(0);
-            s.vhi = s.vhi.min(trips - 1);
-            s.vlo <= s.vhi
-        });
+        // or none. The walker honours any window, but a stream that
+        // never issues in `0..trips` is dropped: its tag must not grow
+        // the attribution table. The simulator's stream walker is
+        // bit-identical to the per-access interleaved walk.
+        streams.retain(|s| s.vlo.max(0) <= s.vhi.min(trips - 1));
         self.hier.access_streams(&streams, trips, self.attribute);
         self.streams = streams;
         self.env[var] = l + (trips - 1) * step;
@@ -706,9 +704,9 @@ impl MeasureCtx<'_> {
 
     /// Binds the listed sites of a fused loop at entry (`env[var]` must
     /// already hold the lower bound) to byte-address streams. Each
-    /// stream's `[vlo, vhi]` is the iteration window in which every
-    /// subscript is in bounds; it may reach outside `0..trips`, and is
-    /// clamped only after the out-of-bounds check.
+    /// stream's `[vlo, vhi]` is the iteration window within `0..trips`
+    /// in which every subscript is in bounds; it is empty (`vlo > vhi`)
+    /// when there is none.
     fn bind_sites(
         &self,
         var: usize,
@@ -1129,6 +1127,47 @@ mod tests {
                 .expect("I=3, K=3, J=0 keep every store in bounds");
             assert_eq!(c.stores, 5);
         }
+    }
+
+    #[test]
+    fn prefetch_windows_outside_the_trip_range_match_reference() {
+        // DO I = 0,N-1 { prefetch A[I+4]; prefetch P[I+N]; A[I] = A[I] }:
+        // the A prefetch is in bounds only on the first N-4 trips, the P
+        // prefetch on none. Neither faults; the reference drops them.
+        // P is the highest-numbered array and nothing else touches it,
+        // so a plan that hands its empty stream to the simulator grows
+        // the attribution table by a row the reference never has.
+        let mut p = Program::new("pf_window");
+        let n = p.add_param("N");
+        let i = p.add_loop_var("I");
+        let a = p.add_array("A", vec![AffineExpr::var(n)]);
+        let pf = p.add_array("P", vec![AffineExpr::var(n)]);
+        let a_i = ArrayRef::new(a, vec![AffineExpr::var(i)]);
+        p.body.push(Stmt::For(Loop {
+            var: i,
+            lo: 0.into(),
+            hi: (AffineExpr::var(n) - AffineExpr::constant(1)).into(),
+            step: 1,
+            body: vec![
+                Stmt::Prefetch {
+                    target: ArrayRef::new(a, vec![AffineExpr::var(i) + AffineExpr::constant(4)]),
+                },
+                Stmt::Prefetch {
+                    target: ArrayRef::new(pf, vec![AffineExpr::var(i) + AffineExpr::var(n)]),
+                },
+                Stmt::Store {
+                    target: a_i.clone(),
+                    value: ScalarExpr::Load(a_i),
+                },
+            ],
+        }));
+        let params = Params::new().with(n, 40);
+        assert_measure_parity(&p, &params);
+        let plan = ExecutablePlan::compile(&p).expect("compile");
+        let c = plan
+            .measure_attributed(&params, &machines()[0], &opts())
+            .expect("prefetches never fault");
+        assert_eq!((c.prefetches, c.per_tag.len()), (36, 1));
     }
 
     fn oob_err(r: Result<Counters, ExecError>) -> ExecError {

@@ -10,17 +10,19 @@
 //!   A plain re-export in normal builds; under `--cfg eco_sched` it routes
 //!   every operation through the controlled scheduler.
 //! * [`model`] — the instrumented primitives by their own names, available
-//!   in every build, so checker models (and `eco lint --sched`) work
-//!   without a special cfg.
+//!   in every build, so checker models work without a special cfg.
 //! * [`explore`] — DFS over bounded-preemption interleavings with a
 //!   DPOR-lite reduction (commuting adjacent steps are skipped) and
 //!   seeded-schedule replay via `ECO_SCHED_SEED`.
 //! * [`DiagCode`] — stable `ECO-S001..` diagnostics: lock-order cycles,
 //!   locks held across `Condvar::wait`, non-joined threads, deadlocks, and
 //!   protocol-specific invariant violations.
-//! * [`models`] — built-in ports of the three hottest shared-state
-//!   protocols (store atomic-write + LRU GC, serve in-flight dedupe,
-//!   engine memo/ring), run by `eco lint --sched`.
+//!
+//! The service layer's protocols are checked on the shipped code, not
+//! on copies: the `sched_model` suites of eco-store, eco-exec and
+//! eco-bench drive the real store, engine memo and daemon dedupe
+//! through [`explore`] under `RUSTFLAGS="--cfg eco_sched"` and fail on
+//! any diagnostic the shipped protocols raise.
 //!
 //! ```
 //! use eco_sched::model::{self, Mutex};
@@ -44,7 +46,6 @@ mod diag;
 mod runtime;
 mod sync_model;
 
-pub mod models;
 pub mod sync;
 
 pub use diag::{DiagCode, SchedDiag};

@@ -39,7 +39,7 @@ use eco_cachesim::{Counters, TagCounters};
 use eco_events::Json;
 use eco_metrics::{Counter, Registry};
 use eco_sched::sync::atomic::{AtomicU64, Ordering};
-use eco_sched::sync::{Arc, Mutex};
+use eco_sched::sync::{labeled_mutex, Arc, Mutex};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -208,7 +208,7 @@ impl ResultStore {
         reconcile_index(&records, &mut inner).map_err(|e| store_err(&records, e))?;
         Ok(ResultStore {
             root,
-            inner: Mutex::new(inner),
+            inner: labeled_mutex("store.inner", inner),
             metrics: StoreMetrics::resolve(),
         })
     }

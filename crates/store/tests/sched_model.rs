@@ -124,6 +124,9 @@ fn clean_store_protocol_passes() {
         "only {} schedules",
         report.schedules
     );
+    // `store.inner` is the store's only lock, and it is never held
+    // while another is taken: no order edges at all.
+    assert_eq!(report.edges, Vec::<(String, String)>::new());
 }
 
 #[test]

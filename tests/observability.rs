@@ -166,6 +166,7 @@ const BAD_COMMAND_LINES: &[(&str, &str)] = &[
     ("eco client ping --sockt x", "unknown option --sockt"),
     ("eco tune mm --n 64", "unknown option --n"),
     ("eco lint --seed 3", "unknown option --seed"),
+    ("eco lint --sched", "unknown option --sched"),
     ("eco report --events e.jsonl --buf-size 1", "unknown option --buf-size"),
     ("eco report --compare a b", "unknown option --compare"),
     ("repro --smoke", "unknown command --smoke"),

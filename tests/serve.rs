@@ -153,8 +153,8 @@ fn concurrent_identical_tunes_share_one_simulation_pass() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Satellite coverage for `ServeStats` and the per-server metrics
-/// registry: mixed concurrent traffic — pings, unknown ops, identical
+/// The `stats` op and the per-server metrics registry it reads:
+/// mixed concurrent traffic — pings, unknown ops, identical
 /// tunes — then exact totals from both the `stats` op and a parsed
 /// `metrics` exposition.
 #[test]
@@ -197,7 +197,7 @@ fn mixed_concurrent_traffic_counts_exactly() {
         c.join().expect("client thread");
     }
 
-    // Exact ServeStats totals: 3 pings + 2 unknown + 4 tunes + this
+    // Exact `stats` totals: 3 pings + 2 unknown + 4 tunes + this
     // stats request itself = 10 requests, 2 of them errors.
     let stats =
         serve::request(&socket, &Json::obj().field("op", Json::str("stats"))).expect("stats");
@@ -458,6 +458,13 @@ fn oversize_request_line_gets_an_error_and_a_hangup() {
     // The daemon still serves new connections.
     let pong = serve::request(&socket, &Json::obj().field("op", Json::str("ping"))).expect("ping");
     assert_eq!(pong.get("ok").and_then(Json::as_bool), Some(true));
+
+    // The oversize line counts as a request (op `other`) as well as an
+    // error: oversize + ping + this stats request = 3 requests.
+    let stats =
+        serve::request(&socket, &Json::obj().field("op", Json::str("stats"))).expect("stats");
+    assert_eq!(stats.get("requests").and_then(Json::as_u64), Some(3));
+    assert_eq!(stats.get("errors").and_then(Json::as_u64), Some(1));
 
     shutdown(&socket);
     handle.join().expect("server thread");
